@@ -8,7 +8,6 @@
 //! exactly that each cycle.
 
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::stats::Histogram;
 use glocks_sim_base::{Cycle, LockId, ThreadId};
 use glocks_stats as gstats;
 
@@ -20,7 +19,7 @@ struct LockState {
     requesters: Vec<ThreadId>,
     /// grAC histogram: bin g = cycles with exactly g concurrent requesters
     /// (bin 0 unused).
-    grac: Histogram,
+    grac: Vec<u64>,
     /// Grant order (bounded) for fairness analysis.
     grants: Vec<ThreadId>,
     acquires: u64,
@@ -58,7 +57,7 @@ impl LockTracker {
                 .map(|i| LockState {
                     holder: None,
                     requesters: Vec::new(),
-                    grac: Histogram::new(n_cores + 1),
+                    grac: vec![0; n_cores + 1],
                     grants: Vec::new(),
                     acquires: 0,
                     wait_cycles: 0,
@@ -138,7 +137,7 @@ impl LockTracker {
         for l in &mut self.locks {
             let n = l.requesters.len();
             if n > 0 {
-                l.grac.record(n.min(self.max_grac), 1);
+                l.grac[n.min(self.max_grac)] += 1;
             }
         }
     }
@@ -152,13 +151,13 @@ impl LockTracker {
         for l in &mut self.locks {
             let n = l.requesters.len();
             if n > 0 {
-                l.grac.record(n.min(self.max_grac), k);
+                l.grac[n.min(self.max_grac)] += k;
             }
         }
     }
 
     /// The grAC histogram of one lock (bin g = cycles with g requesters).
-    pub fn grac_histogram(&self, lock: LockId) -> &Histogram {
+    pub fn grac_histogram(&self, lock: LockId) -> &[u64] {
         &self.locks[lock.index()].grac
     }
 
@@ -251,7 +250,7 @@ impl LockTracker {
         for l in &self.locks {
             w.opt_u64(l.holder.map(|t| u64::from(t.0)));
             w.seq(&l.requesters, |w, t| w.u16(t.0));
-            l.grac.save_state(w);
+            w.u64_slice(&l.grac);
             w.seq(&l.grants, |w, t| w.u16(t.0));
             w.u64(l.acquires);
             w.u64(l.wait_cycles);
@@ -272,7 +271,11 @@ impl LockTracker {
         for l in &mut self.locks {
             l.holder = r.opt_u64()?.map(|t| ThreadId(t as u16));
             l.requesters = r.seq(|r| Ok(ThreadId(r.u16()?)))?;
-            l.grac.load_state(r)?;
+            let grac = r.u64_vec()?;
+            if grac.len() != l.grac.len() {
+                return Err(SnapError::Corrupt { what: "grac histogram bin count" });
+            }
+            l.grac = grac;
             l.grants = r.seq(|r| Ok(ThreadId(r.u16()?)))?;
             l.acquires = r.u64()?;
             l.wait_cycles = r.u64()?;
@@ -292,18 +295,13 @@ impl LockTracker {
     /// (Eq. 2). Returns `lcr[lock][grac]`, `grac ∈ 0..=n_cores` with bin 0
     /// always zero.
     pub fn lcr(&self) -> Vec<Vec<f64>> {
-        let total: u64 = self.locks.iter().map(|l| l.grac.total()).sum();
+        let total: u64 = self.locks.iter().flat_map(|l| &l.grac).sum();
         self.locks
             .iter()
             .map(|l| {
-                (0..l.grac.n_bins())
-                    .map(|g| {
-                        if total == 0 {
-                            0.0
-                        } else {
-                            l.grac.bin(g) as f64 / total as f64
-                        }
-                    })
+                l.grac
+                    .iter()
+                    .map(|&b| if total == 0 { 0.0 } else { b as f64 / total as f64 })
                     .collect()
             })
             .collect()
@@ -324,8 +322,8 @@ mod tests {
         t.on_acquired(l, ThreadId(0), 5);
         t.sample(); // 1 requester (thread 1)
         assert_eq!(t.holder(l), Some(ThreadId(0)));
-        assert_eq!(t.grac_histogram(l).bin(2), 1);
-        assert_eq!(t.grac_histogram(l).bin(1), 1);
+        assert_eq!(t.grac_histogram(l)[2], 1);
+        assert_eq!(t.grac_histogram(l)[1], 1);
         t.on_release_start(l, ThreadId(0), 10);
         t.on_acquired(l, ThreadId(1), 11);
         t.on_release_start(l, ThreadId(1), 12);

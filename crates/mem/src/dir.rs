@@ -13,13 +13,13 @@
 //! as the response (and acknowledged); a later stale `WbData` is dropped.
 
 use crate::cache_array::CacheArray;
+use crate::counters::DirCounters;
 use crate::events::EventQueue;
 use crate::msg::{CoherenceMsg, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet};
 use glocks_sim_base::fault::{FaultDecision, FaultInjector};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::trace::TraceMask;
 use glocks_sim_base::{trace_event, CmpConfig, CoreId, Cycle, LineAddr, TileId};
 use std::collections::{HashMap, VecDeque};
@@ -245,7 +245,7 @@ pub struct Directory {
     entries: HashMap<u64, DirEntry>,
     l2_array: CacheArray<()>,
     events: EventQueue<DirEvent>,
-    counters: CounterSet,
+    counters: DirCounters,
     tag_latency: u64,
     data_latency: u64,
     mem_latency: u64,
@@ -261,7 +261,7 @@ impl Directory {
             entries: HashMap::new(),
             l2_array: CacheArray::new(cfg.l2.sets(cfg.line_bytes), cfg.l2.ways as usize),
             events: EventQueue::new(),
-            counters: CounterSet::default(),
+            counters: DirCounters::default(),
             tag_latency: cfg.l2.latency,
             data_latency: cfg.l2.extra_data_latency,
             mem_latency: cfg.mem_latency,
@@ -283,7 +283,7 @@ impl Directory {
         self.faults.as_ref().map(|f| f.stats())
     }
 
-    pub fn counters(&self) -> &CounterSet {
+    pub fn counters(&self) -> &DirCounters {
         &self.counters
     }
 
@@ -337,13 +337,13 @@ impl Directory {
     /// the tag access (data array, plus memory on a miss) and installs the
     /// line on a miss.
     fn data_fetch_latency(&mut self, line: LineAddr) -> u64 {
-        self.counters.add("l2_access", 1);
+        self.counters.l2_access += 1;
         if self.l2_array.lookup(line).is_some() {
-            self.counters.add("l2_hit", 1);
+            self.counters.l2_hit += 1;
             self.data_latency
         } else {
-            self.counters.add("l2_miss", 1);
-            self.counters.add("mem_access", 1);
+            self.counters.l2_miss += 1;
+            self.counters.mem_access += 1;
             // Silent eviction: the array is timing-only.
             self.l2_array.insert(line, ());
             self.data_latency + self.mem_latency
@@ -361,7 +361,7 @@ impl Directory {
 
     /// Record a data write into the L2 array (WbData/PutM install).
     fn data_install(&mut self, line: LineAddr) {
-        self.counters.add("l2_access", 1);
+        self.counters.l2_access += 1;
         if self.l2_array.lookup(line).is_none() {
             self.l2_array.insert(line, ());
         }
@@ -456,12 +456,12 @@ impl Directory {
                 let e = self.entry(line);
                 match e.busy {
                     Some(Busy { phase: Phase::AwaitOwner { owner }, .. }) if owner == from => {
-                        self.counters.add("dir_c2c", 1);
+                        self.counters.c2c += 1;
                         self.owner_responded(line, from, true, false, now, net);
                     }
                     // Stale WbData from a previous owner that raced its own
                     // eviction: the data was already absorbed via PutM.
-                    _ => self.counters.add("dir_stale_wbdata", 1),
+                    _ => self.counters.stale_wbdata += 1,
                 }
             }
             CoherenceMsg::InvAck { from: _, .. } => {
@@ -483,7 +483,7 @@ impl Directory {
                 match e.busy {
                     Some(Busy { phase: Phase::AwaitOwner { owner }, .. }) if owner == from => {
                         // Crossed eviction: this *is* the owner's response.
-                        self.counters.add("dir_crossed_put", 1);
+                        self.counters.crossed_put += 1;
                         self.owner_responded(line, from, with_data, true, now, net);
                     }
                     _ => {
@@ -522,7 +522,7 @@ impl Directory {
             "dir{}: start {kind:?} on {line:?} for core {requester}",
             self.tile
         );
-        self.counters.add("dir_txn", 1);
+        self.counters.txn += 1;
         self.events.schedule(now + tag_latency, DirEvent::Act(line));
     }
 
@@ -575,7 +575,7 @@ impl Directory {
         }
         let kind = busy.kind;
         if degraded {
-            self.counters.add("dir_upgrade_degraded", 1);
+            self.counters.upgrade_degraded += 1;
         }
         match (state, kind) {
             // ---- reads ----
@@ -647,7 +647,7 @@ impl Directory {
                 } else {
                     let e = self.entry(line);
                     e.busy.as_mut().expect("busy").phase = Phase::AwaitAcks { acks_left: n };
-                    self.counters.add("dir_inv_sent", n as u64);
+                    self.counters.inv_sent += u64::from(n);
                     for c in 0..128u32 {
                         if invs & (1u128 << c) != 0 {
                             self.send(CoherenceMsg::Inv { line }, CoreId(c as u16), now, net);
@@ -668,7 +668,7 @@ impl Directory {
                 if is_owner && kind == ReqKind::PutM {
                     self.data_install(line);
                 } else if !is_owner {
-                    self.counters.add("dir_stale_put", 1);
+                    self.counters.stale_put += 1;
                 }
                 self.finish(
                     line,

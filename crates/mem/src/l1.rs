@@ -7,12 +7,12 @@
 //! line either in the array or in the buffer — the protocol has no Nacks.
 
 use crate::cache_array::CacheArray;
+use crate::counters::L1Counters;
 use crate::events::EventQueue;
 use crate::msg::{CoherenceMsg, MemOp, MemResult, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::trace::TraceMask;
 use glocks_sim_base::{trace_event, CmpConfig, CoreId, Cycle, LineAddr, TileId};
 
@@ -68,7 +68,7 @@ pub struct L1Cache {
     wb: Vec<LineAddr>,
     events: EventQueue<L1Event>,
     done: Option<MemResult>,
-    counters: CounterSet,
+    counters: L1Counters,
     /// Submit cycle of the in-flight op, for the miss-latency histogram.
     submitted_at: Option<Cycle>,
     /// `mem.l1.t{N}.miss_latency` (free `NONE` id when stats are off).
@@ -89,7 +89,7 @@ impl L1Cache {
             wb: Vec::new(),
             events: EventQueue::new(),
             done: None,
-            counters: CounterSet::default(),
+            counters: L1Counters::default(),
             submitted_at: None,
             miss_hist: glocks_stats::hist(&format!("mem.l1.t{}.miss_latency", core.0)),
             l1_latency: cfg.l1.total_latency(),
@@ -111,7 +111,7 @@ impl L1Cache {
         self.pending.is_some() || self.done.is_some() || !self.events.is_empty()
     }
 
-    pub fn counters(&self) -> &CounterSet {
+    pub fn counters(&self) -> &L1Counters {
         &self.counters
     }
 
@@ -119,7 +119,7 @@ impl L1Cache {
     /// (cores are in-order and blocking).
     pub fn submit(&mut self, op: MemOp, now: Cycle) {
         assert!(!self.busy(), "core {} submitted while L1 busy", self.core);
-        self.counters.add("l1_access", 1);
+        self.counters.access += 1;
         self.submitted_at = Some(now);
         self.events.schedule(now + self.l1_latency, L1Event::Access(op));
     }
@@ -212,11 +212,11 @@ impl L1Cache {
         let line = op.addr().line(self.line_bytes);
         match self.array.lookup(line).copied() {
             Some(L1State::Modified) => {
-                self.counters.add("l1_hit", 1);
+                self.counters.hit += 1;
                 self.commit(op, now, store, true);
             }
             Some(L1State::Exclusive) => {
-                self.counters.add("l1_hit", 1);
+                self.counters.hit += 1;
                 if op.needs_exclusive() {
                     // Silent E→M upgrade: the hallmark of MESI.
                     *self.array.lookup(line).expect("resident") = L1State::Modified;
@@ -225,7 +225,7 @@ impl L1Cache {
             }
             Some(L1State::Shared) => {
                 if op.needs_exclusive() {
-                    self.counters.add("l1_upgrade", 1);
+                    self.counters.upgrade += 1;
                     self.pending = Some(Pending {
                         op,
                         line,
@@ -234,12 +234,12 @@ impl L1Cache {
                     });
                     self.issue_request(now, net);
                 } else {
-                    self.counters.add("l1_hit", 1);
+                    self.counters.hit += 1;
                     self.commit(op, now, store, true);
                 }
             }
             None => {
-                self.counters.add("l1_miss", 1);
+                self.counters.miss += 1;
                 let stalled = self.wb.contains(&line);
                 self.pending = Some(Pending {
                     op,
@@ -262,24 +262,24 @@ impl L1Cache {
         now: Cycle,
         net: &mut MeshNoc<SysMsg>,
     ) {
-        self.counters.add("l1_fill", 1);
+        self.counters.fill += 1;
         if let Some((vline, vstate)) = self.array.insert(line, state) {
             match vstate {
                 L1State::Modified => {
-                    self.counters.add("l1_wb_dirty", 1);
+                    self.counters.wb_dirty += 1;
                     self.wb.push(vline);
                     let home = self.home(vline);
                     self.send(CoherenceMsg::PutM { line: vline, from: self.core }, home, now, net);
                 }
                 L1State::Exclusive => {
-                    self.counters.add("l1_wb_clean", 1);
+                    self.counters.wb_clean += 1;
                     self.wb.push(vline);
                     let home = self.home(vline);
                     self.send(CoherenceMsg::PutE { line: vline, from: self.core }, home, now, net);
                 }
                 L1State::Shared => {
                     // Silent: the directory tolerates stale sharer bits.
-                    self.counters.add("l1_evict_shared", 1);
+                    self.counters.evict_shared += 1;
                 }
             }
         }
@@ -312,7 +312,7 @@ impl L1Cache {
                 // data anyway), replace the state in place.
                 if self.array.peek(line).is_some() {
                     *self.array.lookup(line).expect("resident") = state;
-                    self.counters.add("l1_access", 1);
+                    self.counters.access += 1;
                 } else {
                     self.install(line, state, now, net);
                 }
@@ -340,14 +340,14 @@ impl L1Cache {
             }
             CoherenceMsg::Inv { .. } => {
                 trace_event!(TraceMask::L1, now, "l1[{}]: Inv {line:?}", self.core);
-                self.counters.add("l1_inv_recv", 1);
+                self.counters.inv_recv += 1;
                 // May be absent (stale sharer bit after a silent S evict).
                 self.array.remove(line);
                 let home = self.home(line);
                 self.send(CoherenceMsg::InvAck { line, from: self.core }, home, now, net);
             }
             CoherenceMsg::FwdGetS { .. } => {
-                self.counters.add("l1_fwd_recv", 1);
+                self.counters.fwd_recv += 1;
                 if let Some(s) = self.array.lookup(line) {
                     *s = L1State::Shared;
                 } else {
@@ -360,7 +360,7 @@ impl L1Cache {
                 self.send(CoherenceMsg::WbData { line, from: self.core }, home, now, net);
             }
             CoherenceMsg::FwdGetM { .. } => {
-                self.counters.add("l1_fwd_recv", 1);
+                self.counters.fwd_recv += 1;
                 if self.array.remove(line).is_none() {
                     debug_assert!(
                         self.wb.contains(&line),

@@ -32,6 +32,7 @@
 //! while timing comes entirely from the protocol simulation.
 
 pub mod cache_array;
+pub mod counters;
 pub mod events;
 pub mod l1;
 pub mod dir;
@@ -40,5 +41,6 @@ pub mod msg;
 pub mod store;
 pub mod subsystem;
 
+pub use counters::{DirCounters, L1Counters};
 pub use msg::{CoherenceMsg, MemOp, MemResult, MpLockMsg, RmwKind, SysMsg};
 pub use subsystem::{MemDiag, MemorySystem};

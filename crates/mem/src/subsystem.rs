@@ -3,6 +3,7 @@
 //! This is the interface the simulated cores talk to: submit one memory
 //! operation, tick the world, poll for the completion.
 
+use crate::counters::{DirCounters, L1Counters};
 use crate::dir::{DirState, Directory};
 use crate::l1::{L1Cache, L1State};
 use crate::mplock::{MpFabric, MpManager, MANAGER_LATENCY, MAX_MP_LOCKS};
@@ -11,7 +12,6 @@ use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet, TrafficStats};
 use glocks_sim_base::fault::{FaultPlan, FaultSite};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::{CmpConfig, CoreId, Cycle, LineAddr, TileId};
 
 /// A point-in-time picture of what the memory system is doing — part of
@@ -328,38 +328,40 @@ impl MemorySystem {
         &mut self.store
     }
 
-    /// Aggregated event counters of all L1s and directories (energy input).
-    pub fn counters(&self) -> CounterSet {
-        let mut c = CounterSet::default();
-        for l1 in &self.l1s {
-            c.merge(l1.counters());
+    /// Chip-wide sums of the L1 and directory event counters (energy
+    /// input and the `mem.total.*` stats).
+    pub fn counter_totals(&self) -> (L1Counters, DirCounters) {
+        let mut l1 = L1Counters::default();
+        for c in &self.l1s {
+            l1.merge(c.counters());
         }
+        let mut dir = DirCounters::default();
         for d in &self.dirs {
-            c.merge(d.counters());
+            dir.merge(d.counters());
         }
-        c
+        (l1, dir)
     }
 
     /// Publish end-of-run memory-hierarchy totals into the stats registry:
     /// per-tile L1 and directory event counters plus chip-wide aggregates
-    /// (no-op when stats are off).
+    /// (no-op when stats are off). Counters that never fired are left out.
     pub fn publish_stats(&self) {
         if !glocks_stats::is_enabled() {
             return;
         }
-        for (t, l1) in self.l1s.iter().enumerate() {
-            for (k, v) in l1.counters().iter() {
-                glocks_stats::set(glocks_stats::counter(&format!("mem.l1.t{t}.{k}")), v);
+        fn publish(prefix: &str, named: impl Iterator<Item = (&'static str, u64)>) {
+            for (k, v) in named.filter(|&(_, v)| v != 0) {
+                glocks_stats::set(glocks_stats::counter(&format!("{prefix}.{k}")), v);
             }
+        }
+        for (t, l1) in self.l1s.iter().enumerate() {
+            publish(&format!("mem.l1.t{t}"), l1.counters().named());
         }
         for (t, dir) in self.dirs.iter().enumerate() {
-            for (k, v) in dir.counters().iter() {
-                glocks_stats::set(glocks_stats::counter(&format!("mem.dir.t{t}.{k}")), v);
-            }
+            publish(&format!("mem.dir.t{t}"), dir.counters().named());
         }
-        for (k, v) in self.counters().iter() {
-            glocks_stats::set(glocks_stats::counter(&format!("mem.total.{k}")), v);
-        }
+        let (l1, dir) = self.counter_totals();
+        publish("mem.total", l1.named().chain(dir.named()));
         self.net.publish_stats();
     }
 

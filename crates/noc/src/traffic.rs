@@ -2,10 +2,9 @@
 
 use crate::packet::TrafficClass;
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::stats::Summary;
 
 /// Bytes and messages moved through the network, split by
-/// Request / Reply / Coherence, plus packet-latency summaries.
+/// Request / Reply / Coherence.
 ///
 /// Bytes are counted per link traversal ("the total number of bytes
 /// transmitted by all the switches of the interconnect"), so a packet that
@@ -17,8 +16,6 @@ pub struct TrafficStats {
     messages: [u64; 3],
     /// Link traversals (packet-hops), by class.
     hops: [u64; 3],
-    /// End-to-end packet latency (inject → deliver) in cycles.
-    pub latency: Summary,
 }
 
 impl TrafficStats {
@@ -29,10 +26,6 @@ impl TrafficStats {
     pub fn on_link_traversal(&mut self, class: TrafficClass, bytes: u32) {
         self.bytes[class.index()] += bytes as u64;
         self.hops[class.index()] += 1;
-    }
-
-    pub fn on_deliver(&mut self, latency_cycles: u64) {
-        self.latency.record(latency_cycles as f64);
     }
 
     pub fn bytes(&self, class: TrafficClass) -> u64 {
@@ -64,7 +57,6 @@ impl TrafficStats {
         w.u64_slice(&self.bytes);
         w.u64_slice(&self.messages);
         w.u64_slice(&self.hops);
-        self.latency.save_state(w);
     }
 
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -75,26 +67,7 @@ impl TrafficStats {
             }
             arr.copy_from_slice(&v);
         }
-        self.latency.load_state(r)
-    }
-
-    pub fn merge(&mut self, other: &TrafficStats) {
-        for i in 0..3 {
-            self.bytes[i] += other.bytes[i];
-            self.messages[i] += other.messages[i];
-            self.hops[i] += other.hops[i];
-        }
-        // Summaries merge by re-deriving count/sum/min/max.
-        if other.latency.count > 0 {
-            if self.latency.count == 0 {
-                self.latency = other.latency;
-            } else {
-                self.latency.count += other.latency.count;
-                self.latency.sum += other.latency.sum;
-                self.latency.min = self.latency.min.min(other.latency.min);
-                self.latency.max = self.latency.max.max(other.latency.max);
-            }
-        }
+        Ok(())
     }
 }
 
@@ -115,30 +88,5 @@ mod tests {
         assert_eq!(t.total_bytes(), 88);
         assert_eq!(t.messages(TrafficClass::Request), 1);
         assert_eq!(t.total_messages(), 1);
-    }
-
-    #[test]
-    fn merge_sums_everything() {
-        let mut a = TrafficStats::default();
-        let mut b = TrafficStats::default();
-        a.on_link_traversal(TrafficClass::Coherence, 8);
-        a.on_deliver(10);
-        b.on_link_traversal(TrafficClass::Coherence, 8);
-        b.on_deliver(30);
-        a.merge(&b);
-        assert_eq!(a.bytes(TrafficClass::Coherence), 16);
-        assert_eq!(a.latency.count, 2);
-        assert_eq!(a.latency.max, 30.0);
-        assert_eq!(a.latency.min, 10.0);
-    }
-
-    #[test]
-    fn merge_into_empty_copies() {
-        let mut a = TrafficStats::default();
-        let mut b = TrafficStats::default();
-        b.on_deliver(5.0 as u64);
-        a.merge(&b);
-        assert_eq!(a.latency.count, 1);
-        assert_eq!(a.latency.min, 5.0);
     }
 }

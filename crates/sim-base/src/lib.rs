@@ -3,9 +3,10 @@
 //! This crate is deliberately dependency-free and contains the vocabulary of
 //! the simulated machine: identifiers ([`ids`]), the 2D-mesh floor plan
 //! ([`geom`]), the architectural configuration of the simulated CMP
-//! ([`config`], reproducing Table II of the paper), simple statistics
-//! containers ([`stats`]), a deterministic RNG ([`rng`]) and plain-text
-//! table rendering used by the experiment harness ([`table`]).
+//! ([`config`], reproducing Table II of the paper), fault plans
+//! ([`fault`]), the checkpoint codec ([`snap`]), a deterministic RNG
+//! ([`rng`]), plain-text table rendering used by the experiment harness
+//! ([`table`]) and the protocol trace ([`trace`]).
 
 pub mod config;
 pub mod fault;
@@ -13,7 +14,6 @@ pub mod geom;
 pub mod ids;
 pub mod rng;
 pub mod snap;
-pub mod stats;
 pub mod table;
 pub mod trace;
 

@@ -23,7 +23,9 @@ use std::fmt;
 pub const SNAP_MAGIC: u32 = 0x474C_534E;
 /// Bump on any incompatible change to the encoded layout.
 /// v2: per-core `Breakdown` gained an `idle` field (open-loop arrivals).
-pub const SNAP_VERSION: u32 = 2;
+/// v3: typed L1/directory counter arrays, no NoC latency summary, and an
+/// FNV-64 payload digest trailer.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Why a snapshot could not be written or read back.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,6 +38,9 @@ pub enum SnapError {
     VersionMismatch { found: u32, expected: u32 },
     /// The snapshot belongs to a different machine specification.
     FingerprintMismatch { found: u64, expected: u64 },
+    /// The payload digest trailer does not match the bytes before it:
+    /// the image was corrupted after it was written.
+    DigestMismatch { found: u64, expected: u64 },
     /// A section marker did not match: writer and reader disagree on
     /// layout (usually a save/load pair out of sync).
     MarkMismatch { label: &'static str },
@@ -62,6 +67,11 @@ impl fmt::Display for SnapError {
                 f,
                 "snapshot fingerprint {found:#018x} does not match this \
                  configuration's fingerprint {expected:#018x}"
+            ),
+            SnapError::DigestMismatch { found, expected } => write!(
+                f,
+                "snapshot payload digest {found:#018x} does not match its \
+                 content digest {expected:#018x}"
             ),
             SnapError::MarkMismatch { label } => {
                 write!(f, "section marker mismatch at {label:?}")

@@ -858,7 +858,7 @@ impl Simulation {
             glocks_stats::save_registry(&mut w);
         }
         w.mark("sim-end");
-        Ok(Snapshot::from_trusted(w.into_bytes()))
+        Ok(Snapshot::seal(w.into_bytes()))
     }
 
     /// Load a [`Snapshot`] into this freshly constructed machine (the
@@ -999,12 +999,16 @@ impl Simulation {
         let gline_networks = self.glock_nets.len() + usize::from(self.gbarrier.is_some());
         let glock_controllers =
             gline_networks.saturating_mul(2 * self.cfg.num_cores) as u64; // leaves + managers bound
+        let (l1_counters, dir_counters) = self.mem.counter_totals();
         let inputs = EnergyInputs {
             cycles: finish_at,
             n_tiles: self.cfg.num_cores,
             instructions,
             live_core_cycles,
-            mem_counters: self.mem.counters(),
+            l1_accesses: l1_counters.access,
+            l2_accesses: dir_counters.l2_access,
+            dir_txns: dir_counters.txn,
+            mem_accesses: dir_counters.mem_access,
             noc_hops: traffic.total_hops,
             noc_byte_hops: traffic.total_bytes(),
             gline_signals: glocks.iter().map(|g| g.signals).sum::<u64>() + gbarrier_signals,

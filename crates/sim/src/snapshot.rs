@@ -2,8 +2,10 @@
 //!
 //! A [`Snapshot`] is the byte image produced by
 //! [`crate::Simulation::checkpoint`]: a fixed header (magic, codec
-//! version, configuration fingerprint, cycle) followed by the dynamic
-//! state of every subsystem in a fixed walk order. Structure is **not**
+//! version, configuration fingerprint, cycle), the dynamic state of every
+//! subsystem in a fixed walk order, and an FNV-1a 64 digest of everything
+//! before it. A corrupted image is refused with
+//! [`SnapError::DigestMismatch`] before any section is decoded. Structure is **not**
 //! stored — [`crate::Simulation::resume`] rebuilds the machine from the
 //! same specification and then loads this state into it, gem5-style. The
 //! fingerprint in the header is the guard that the specification really is
@@ -18,35 +20,58 @@
 //! everything transient within a cycle has settled when the boundary is
 //! reached.
 
-use glocks_sim_base::snap::{SnapError, SnapReader, SNAP_MAGIC, SNAP_VERSION};
+use glocks_sim_base::snap::{Fingerprint, SnapError, SnapReader, SNAP_MAGIC, SNAP_VERSION};
 use glocks_sim_base::Cycle;
 
 /// Byte offset where the body (post-header) starts: magic + version +
 /// fingerprint + cycle.
 pub const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
 
+/// Length of the payload digest trailer.
+pub const DIGEST_BYTES: usize = 8;
+
+/// FNV-1a 64 over header and body.
+fn digest(payload: &[u8]) -> u64 {
+    let mut d = Fingerprint::new();
+    d.mix_bytes(payload);
+    d.value()
+}
+
 /// A validated checkpoint image.
 ///
 /// Invariant: `bytes` always starts with a well-formed header whose magic
-/// and version match this build, so the accessors never fail.
+/// and version match this build and ends with a matching digest, so the
+/// accessors never fail.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     bytes: Vec<u8>,
 }
 
 impl Snapshot {
-    /// Adopt a buffer produced by [`crate::Simulation::checkpoint`] in
-    /// this process (header already well-formed by construction).
-    pub(crate) fn from_trusted(bytes: Vec<u8>) -> Self {
+    /// Append the digest trailer to header + body written by
+    /// [`crate::Simulation::checkpoint`] in this process.
+    pub(crate) fn seal(mut bytes: Vec<u8>) -> Self {
         debug_assert!(Self::parse_header(&bytes).is_ok());
+        let d = digest(&bytes);
+        bytes.extend_from_slice(&d.to_le_bytes());
         Snapshot { bytes }
     }
 
-    /// Validate and adopt bytes read back from disk. Only the header is
-    /// checked here — fingerprint and body verification happen when the
+    /// Validate and adopt bytes read back from disk: magic and version
+    /// first (an older codec's image reports [`SnapError::VersionMismatch`]),
+    /// then the payload digest. The fingerprint is checked when the
     /// snapshot is loaded into a reconstructed machine.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapError> {
         Self::parse_header(&bytes)?;
+        if bytes.len() < HEADER_BYTES + DIGEST_BYTES {
+            return Err(SnapError::Truncated { at: bytes.len() });
+        }
+        let (payload, trailer) = bytes.split_at(bytes.len() - DIGEST_BYTES);
+        let found = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+        let expected = digest(payload);
+        if found != expected {
+            return Err(SnapError::DigestMismatch { found, expected });
+        }
         Ok(Snapshot { bytes })
     }
 
@@ -92,9 +117,9 @@ impl Snapshot {
         false // a valid snapshot always carries at least its header
     }
 
-    /// Reader positioned at the body (past the header).
+    /// Reader over the body (between header and digest).
     pub(crate) fn body(&self) -> SnapReader<'_> {
-        SnapReader::new(&self.bytes[HEADER_BYTES..])
+        SnapReader::new(&self.bytes[HEADER_BYTES..self.bytes.len() - DIGEST_BYTES])
     }
 }
 
@@ -114,11 +139,32 @@ mod tests {
 
     #[test]
     fn header_round_trips() {
-        let s = Snapshot::from_bytes(header(SNAP_MAGIC, SNAP_VERSION, 0xABCD, 42)).unwrap();
+        let sealed = Snapshot::seal(header(SNAP_MAGIC, SNAP_VERSION, 0xABCD, 42));
+        let s = Snapshot::from_bytes(sealed.into_bytes()).unwrap();
         assert_eq!(s.fingerprint(), 0xABCD);
         assert_eq!(s.cycle(), 42);
-        assert_eq!(s.len(), HEADER_BYTES);
+        assert_eq!(s.len(), HEADER_BYTES + DIGEST_BYTES);
+        assert_eq!(s.body().remaining(), 0);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn missing_digest_rejected() {
+        let e = Snapshot::from_bytes(header(SNAP_MAGIC, SNAP_VERSION, 0, 0)).unwrap_err();
+        assert_eq!(e, SnapError::Truncated { at: HEADER_BYTES });
+    }
+
+    #[test]
+    fn corrupted_payload_rejected() {
+        let mut b = Snapshot::seal(header(SNAP_MAGIC, SNAP_VERSION, 0xABCD, 42)).into_bytes();
+        b[HEADER_BYTES - 1] ^= 0x01; // cycle field
+        assert!(matches!(Snapshot::from_bytes(b), Err(SnapError::DigestMismatch { .. })));
+    }
+
+    #[test]
+    fn v2_header_rejected_by_version() {
+        let e = Snapshot::from_bytes(header(SNAP_MAGIC, 2, 0, 0)).unwrap_err();
+        assert_eq!(e, SnapError::VersionMismatch { found: 2, expected: SNAP_VERSION });
     }
 
     #[test]

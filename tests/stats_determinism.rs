@@ -7,10 +7,16 @@
 //! 2. **Paper-exactness** — turning stats on observes the simulation but
 //!    never perturbs it: cycles, grants and G-line signal counts match the
 //!    stats-off run bit for bit.
+//! 3. **Stability** — the committed golden dumps regenerate byte for byte,
+//!    and the energy model is fed the same memory-hierarchy totals the
+//!    dump publishes.
 
+use glocks_repro::energy::EnergyModel;
 use glocks_repro::prelude::*;
 use glocks_repro::sim_base::fault::{FaultPlan, FaultRates};
 use glocks_repro::stats as gstats;
+use std::collections::BTreeMap;
+use std::path::Path;
 
 fn sim_for(kind: BenchKind, algo: LockAlgorithm, threads: usize, options: SimulationOptions) -> SimReport {
     let bench = BenchConfig::smoke(kind, threads);
@@ -229,4 +235,94 @@ fn enabling_the_checker_does_not_perturb_the_simulation() {
         checked.counters.get("checker.checks_run").copied().unwrap_or(0) > 0,
         "an attached checker must actually run checks"
     );
+}
+
+/// The committed goldens, regenerated through the same harness path as
+/// `glocks-experiments stats --quick --threads 8 --stats-json DIR`, must
+/// match byte for byte: no tolerance, unlike the CI `glocks-stats diff`
+/// gate. The MCS golden exercises every coherence counter family
+/// (upgrades, invalidations, forwards, cache-to-cache transfers).
+#[test]
+fn golden_dumps_regenerate_byte_identically() {
+    use glocks_repro::harness::exp::{self, glock_mapping, mcs_mapping, ExpOptions};
+    let dir = std::env::temp_dir().join(format!("glocks_golden_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    exp::set_stats_dir(dir.to_str());
+    let bench = ExpOptions { quick: true, threads: 8 }.bench(BenchKind::Sctr);
+    for mapping in [glock_mapping(&bench), mcs_mapping(&bench)] {
+        exp::set_stats_context("stats");
+        exp::run_bench(&bench, &mapping).expect("fault-free run");
+        let name = format!("stats_SCTR_{}_8t_0.json", mapping.label());
+        let fresh = std::fs::read(dir.join(&name)).expect("dump written");
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(&name);
+        let golden = std::fs::read(golden).expect("golden committed");
+        assert!(fresh == golden, "{name} is not byte-identical to its golden");
+    }
+    exp::set_stats_dir(None);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An energy model charging 1 pJ per event of the chosen kinds and nothing
+/// else: the report's component energies are then exactly the event
+/// counts the runner handed to the model.
+fn counting_model(l1_l2_mem: bool) -> EnergyModel {
+    let unit = |on: bool| if on { 1.0 } else { 0.0 };
+    EnergyModel {
+        instr_pj: 0.0,
+        core_cycle_pj: 0.0,
+        l1_access_pj: unit(l1_l2_mem),
+        l2_access_pj: unit(l1_l2_mem),
+        dir_txn_pj: unit(!l1_l2_mem),
+        mem_access_pj: unit(l1_l2_mem),
+        router_hop_pj: 0.0,
+        link_byte_pj: 0.0,
+        gline_signal_pj: 0.0,
+        glock_ctrl_cycle_pj: 0.0,
+        tile_leak_pj: 0.0,
+    }
+}
+
+/// Energy and the stats dump count the same events: the L1, L2, directory
+/// and memory totals reaching the energy model equal the dump's
+/// `mem.total.*`, and each `mem.total.<k>` is the sum over tiles of
+/// `mem.l1.t*.<k>` / `mem.dir.t*.<k>`.
+#[test]
+fn energy_inputs_match_the_dumped_memory_totals() {
+    let run = |l1_l2_mem: bool| {
+        gstats::enable(gstats::StatsConfig::default());
+        let options = SimulationOptions {
+            energy_model: counting_model(l1_l2_mem),
+            ..Default::default()
+        };
+        let report = sim_for(BenchKind::Sctr, LockAlgorithm::Mcs, 8, options);
+        gstats::disable();
+        let dump = report.stats.clone().expect("snapshot attached");
+        (report.energy, dump)
+    };
+    let (e, dump) = run(true);
+    let (e_dir, dump_dir) = run(false);
+    assert!(dump == dump_dir, "the energy model must not perturb the run");
+
+    let total = |k: &str| dump.counters[&format!("mem.total.{k}")] as f64;
+    assert_eq!(e.l1_pj, total("l1_access"));
+    assert_eq!(e.l2_dir_pj, total("l2_access"));
+    assert_eq!(e.mem_pj, total("mem_access"));
+    assert_eq!(e_dir.l2_dir_pj, total("dir_txn"));
+
+    let mut per_tile_sums: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
+    for (key, &v) in &dump.counters {
+        if let Some(k) = key.strip_prefix("mem.total.") {
+            totals.insert(k, v);
+        } else if let Some(rest) =
+            key.strip_prefix("mem.l1.t").or_else(|| key.strip_prefix("mem.dir.t"))
+        {
+            let (_, k) = rest.split_once('.').expect("mem.<unit>.t<N>.<k>");
+            *per_tile_sums.entry(k).or_default() += v;
+        }
+    }
+    for k in ["l1_upgrade", "l1_inv_recv", "l1_fwd_recv", "dir_c2c", "dir_inv_sent"] {
+        assert!(totals.contains_key(k), "MCS handoffs must publish {k}: {totals:?}");
+    }
+    assert_eq!(per_tile_sums, totals);
 }
