@@ -26,8 +26,11 @@ impl<S> CacheArray<S> {
     pub fn new(n_sets: usize, ways: usize) -> Self {
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways >= 1);
+        // Sets allocate on first fill: a run touches few of the L2's
+        // thousands of sets, and one allocation per set made building a
+        // machine cost thousands of `malloc`s.
         CacheArray {
-            sets: (0..n_sets).map(|_| Vec::with_capacity(ways)).collect(),
+            sets: (0..n_sets).map(|_| Vec::new()).collect(),
             ways,
             clock: 0,
         }

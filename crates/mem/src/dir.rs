@@ -305,6 +305,11 @@ impl Directory {
             .unwrap_or(DirState::Uncached)
     }
 
+    /// True while an event is scheduled: `tick` has work to do now or later.
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     /// True when no transaction or queued request exists anywhere.
     pub fn is_quiescent(&self) -> bool {
         self.events.is_empty()

@@ -111,6 +111,12 @@ impl L1Cache {
         self.pending.is_some() || self.done.is_some() || !self.events.is_empty()
     }
 
+    /// True while a tag access is scheduled: `tick` has work to do now or
+    /// later.
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     pub fn counters(&self) -> &L1Counters {
         &self.counters
     }

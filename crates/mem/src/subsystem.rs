@@ -9,7 +9,8 @@ use crate::l1::{L1Cache, L1State};
 use crate::mplock::{MpFabric, MpManager, MANAGER_LATENCY, MAX_MP_LOCKS};
 use crate::msg::{MemOp, MemResult, MpLockMsg, SysMsg};
 use crate::store::WordStore;
-use glocks_noc::{MeshNoc, Packet, TrafficStats};
+use glocks_noc::tileset::bits;
+use glocks_noc::{MeshNoc, Packet, TileSet, TrafficStats};
 use glocks_sim_base::fault::{FaultPlan, FaultSite};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{CmpConfig, CoreId, Cycle, LineAddr, TileId};
@@ -49,6 +50,12 @@ pub struct MemorySystem {
     mp_latency: Vec<u64>,
     ctrl_bytes: u32,
     n_tiles: usize,
+    /// Controllers with a scheduled event, the only ones `tick` visits:
+    /// L1s by core, directories and MP-Lock managers by tile. Derived
+    /// from the controllers' event queues, so snapshots do not carry them.
+    l1_work: TileSet,
+    dir_work: TileSet,
+    mp_work: TileSet,
 }
 
 impl MemorySystem {
@@ -69,6 +76,9 @@ impl MemorySystem {
             mp_latency: vec![MANAGER_LATENCY; MAX_MP_LOCKS as usize],
             ctrl_bytes: cfg.noc.ctrl_msg_bytes,
             n_tiles: mesh.len(),
+            l1_work: TileSet::new(cfg.num_cores),
+            dir_work: TileSet::new(mesh.len()),
+            mp_work: TileSet::new(mesh.len()),
         }
     }
 
@@ -105,6 +115,7 @@ impl MemorySystem {
     /// Submit a memory operation for `core`. One outstanding op per core.
     pub fn submit(&mut self, core: CoreId, op: MemOp, now: Cycle) {
         self.l1s[core.index()].submit(op, now);
+        self.l1_work.insert(core.index());
     }
 
     /// Is `core`'s L1 free to accept a new operation?
@@ -119,42 +130,41 @@ impl MemorySystem {
 
     /// Advance the memory world by one cycle. Call once per simulated cycle
     /// *after* cores have submitted their operations for this cycle.
+    ///
+    /// Each phase visits only its active set, in ascending index order —
+    /// the order a sweep over every tile would use. A skipped delivery
+    /// queue has nothing to drain and a skipped controller has no event,
+    /// so the trajectory is the full sweep's. Handling a delivery injects
+    /// only into router queues or, as a local bypass, into the delivering
+    /// tile's own queue, never ready this cycle.
     pub fn tick(&mut self, now: Cycle) {
         // 1. The fabric moves packets.
         self.net.tick(now);
         // 2. Deliver arrived packets to their tile's L1, directory, NIC
         //    or lock manager.
-        for t in 0..self.dirs.len() {
-            self.drain_buf.clear();
-            self.net.drain(TileId(t as u16), now, &mut self.drain_buf);
-            for i in 0..self.drain_buf.len() {
-                match self.drain_buf[i].payload {
-                    SysMsg::Coh(msg) => {
-                        if msg.to_directory() {
-                            self.dirs[t].handle_msg(msg, now, &mut self.store, &mut self.net);
-                        } else {
-                            self.l1s[t].handle_msg(msg, now, &mut self.store, &mut self.net);
-                        }
-                    }
-                    SysMsg::Lock(MpLockMsg::Grant { lock }) => {
-                        self.mp_fabric.deliver_grant(CoreId(t as u16), lock);
-                    }
-                    SysMsg::Lock(msg) => {
-                        let lock = match msg {
-                            MpLockMsg::Req { lock, .. } | MpLockMsg::Rel { lock, .. } => lock,
-                            MpLockMsg::Grant { .. } => unreachable!("handled above"),
-                        };
-                        self.mp_managers[t].handle(msg, now, self.mp_latency[lock as usize]);
-                    }
-                }
+        for w in 0..self.net.delivery_tiles().n_words() {
+            for t in bits(w, self.net.delivery_tiles().word(w)) {
+                self.deliver(t, now);
             }
         }
         // 3. Controllers process their scheduled work.
-        for l1 in &mut self.l1s {
-            l1.tick(now, &mut self.store, &mut self.net);
+        for w in 0..self.l1_work.n_words() {
+            for c in bits(w, self.l1_work.word(w)) {
+                let l1 = &mut self.l1s[c];
+                l1.tick(now, &mut self.store, &mut self.net);
+                if !l1.has_events() {
+                    self.l1_work.remove(c);
+                }
+            }
         }
-        for dir in &mut self.dirs {
-            dir.tick(now, &mut self.store, &mut self.net);
+        for w in 0..self.dir_work.n_words() {
+            for t in bits(w, self.dir_work.word(w)) {
+                let dir = &mut self.dirs[t];
+                dir.tick(now, &mut self.store, &mut self.net);
+                if !dir.has_events() {
+                    self.dir_work.remove(t);
+                }
+            }
         }
         // 4. MP-Locks: NIC outbox → network; manager decisions → network.
         while let Some((core, msg)) = self.mp_fabric.pop_outgoing() {
@@ -164,13 +174,48 @@ impl MemorySystem {
             };
             self.inject_mp(TileId(core.0), dst, msg, now);
         }
-        for t in 0..self.mp_managers.len() {
-            self.mp_managers[t].tick(now);
-            self.mp_out_buf.clear();
-            self.mp_managers[t].take_outgoing(&mut self.mp_out_buf);
-            for i in 0..self.mp_out_buf.len() {
-                let (core, msg) = self.mp_out_buf[i];
-                self.inject_mp(TileId(t as u16), TileId(core.0), msg, now);
+        for w in 0..self.mp_work.n_words() {
+            for t in bits(w, self.mp_work.word(w)) {
+                self.mp_managers[t].tick(now);
+                self.mp_out_buf.clear();
+                self.mp_managers[t].take_outgoing(&mut self.mp_out_buf);
+                for i in 0..self.mp_out_buf.len() {
+                    let (core, msg) = self.mp_out_buf[i];
+                    self.inject_mp(TileId(t as u16), TileId(core.0), msg, now);
+                }
+                if self.mp_managers[t].is_quiescent() {
+                    self.mp_work.remove(t);
+                }
+            }
+        }
+    }
+
+    /// Hand every packet ready at tile `t` to its L1, directory, NIC or
+    /// lock manager.
+    fn deliver(&mut self, t: usize, now: Cycle) {
+        self.drain_buf.clear();
+        self.net.drain(TileId(t as u16), now, &mut self.drain_buf);
+        for i in 0..self.drain_buf.len() {
+            match self.drain_buf[i].payload {
+                SysMsg::Coh(msg) => {
+                    if msg.to_directory() {
+                        self.dirs[t].handle_msg(msg, now, &mut self.store, &mut self.net);
+                        self.dir_work.insert(t);
+                    } else {
+                        self.l1s[t].handle_msg(msg, now, &mut self.store, &mut self.net);
+                    }
+                }
+                SysMsg::Lock(MpLockMsg::Grant { lock }) => {
+                    self.mp_fabric.deliver_grant(CoreId(t as u16), lock);
+                }
+                SysMsg::Lock(msg) => {
+                    let lock = match msg {
+                        MpLockMsg::Req { lock, .. } | MpLockMsg::Rel { lock, .. } => lock,
+                        MpLockMsg::Grant { .. } => unreachable!("handled above"),
+                    };
+                    self.mp_managers[t].handle(msg, now, self.mp_latency[lock as usize]);
+                    self.mp_work.insert(t);
+                }
             }
         }
     }
@@ -220,7 +265,30 @@ impl MemorySystem {
             m.load_state(r)?;
         }
         self.mp_fabric.load_state(r)?;
+        self.rebuild_work_sets();
         Ok(())
+    }
+
+    /// Recompute the derived controller work sets from their event queues.
+    fn rebuild_work_sets(&mut self) {
+        self.l1_work.clear();
+        self.dir_work.clear();
+        self.mp_work.clear();
+        for (c, l1) in self.l1s.iter().enumerate() {
+            if l1.has_events() {
+                self.l1_work.insert(c);
+            }
+        }
+        for (t, dir) in self.dirs.iter().enumerate() {
+            if dir.has_events() {
+                self.dir_work.insert(t);
+            }
+        }
+        for (t, m) in self.mp_managers.iter().enumerate() {
+            if !m.is_quiescent() {
+                self.mp_work.insert(t);
+            }
+        }
     }
 
     /// True when no packet, transaction or pending L1 request exists (used
@@ -557,6 +625,49 @@ mod tests {
         assert_eq!(olds, (0..n as u64).collect::<Vec<_>>());
         assert_eq!(sys.store().load(a), n as u64);
         sys.check_invariants();
+    }
+
+    /// After every tick each work set holds exactly the controllers with
+    /// a scheduled event, and a restored system rebuilds the same sets.
+    #[test]
+    fn work_sets_hold_exactly_the_controllers_with_events() {
+        fn assert_exact(sys: &MemorySystem) {
+            let l1: Vec<usize> = (0..sys.l1s.len()).filter(|&c| sys.l1s[c].has_events()).collect();
+            let dir: Vec<usize> =
+                (0..sys.dirs.len()).filter(|&t| sys.dirs[t].has_events()).collect();
+            assert_eq!(sys.l1_work.iter().collect::<Vec<_>>(), l1);
+            assert_eq!(sys.dir_work.iter().collect::<Vec<_>>(), dir);
+            assert!(sys.mp_work.is_empty(), "no MP lock is used");
+        }
+        let mut sys = system();
+        let a = Addr(0xA000);
+        let mut busy_cycles = 0;
+        let mut restored_once = false;
+        for now in 0..20_000 {
+            for c in 0..32u16 {
+                let core = CoreId(c);
+                sys.take_result(core);
+                if (now + c as u64).is_multiple_of(97) && sys.can_submit(core) {
+                    sys.submit(core, MemOp::Rmw(a, RmwKind::FetchAdd(1)), now);
+                }
+            }
+            sys.tick(now);
+            assert_exact(&sys);
+            busy_cycles += usize::from(!sys.dir_work.is_empty());
+            if now > 10_000 && !restored_once && !sys.l1_work.is_empty() && !sys.dir_work.is_empty()
+            {
+                restored_once = true;
+                let mut w = SnapWriter::new();
+                sys.save_state(&mut w);
+                let bytes = w.into_bytes();
+                let mut restored = system();
+                restored.load_state(&mut SnapReader::new(&bytes)).expect("loads");
+                assert_eq!(restored.l1_work, sys.l1_work);
+                assert_eq!(restored.dir_work, sys.dir_work);
+            }
+        }
+        assert!(busy_cycles > 1_000, "directories must actually have work");
+        assert!(restored_once, "a snapshot must catch both sets non-empty");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::packet::{Packet, TrafficClass};
 use crate::router::{Queued, Router, N_PORTS, P_EAST, P_LOCAL, P_NORTH, P_SOUTH, P_WEST};
+use crate::tileset::{bits, TileSet};
 use crate::traffic::TrafficStats;
 use glocks_sim_base::fault::{FaultDecision, FaultInjector};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
@@ -17,6 +18,12 @@ pub struct MeshNoc<T> {
     routers: Vec<Router<T>>,
     /// Packets ejected at each tile, eligible once `ready_at` is reached.
     delivered: Vec<VecDeque<(Cycle, Packet<T>)>>,
+    /// Routers with a non-empty input queue: exactly the routers `tick`
+    /// visits. Derived from `routers`, so snapshots do not carry it.
+    busy_routers: TileSet,
+    /// Tiles with a non-empty `delivered` queue: exactly the tiles the
+    /// memory system drains. Derived from `delivered`.
+    delivery_tiles: TileSet,
     stats: TrafficStats,
     in_flight: usize,
     faults: Option<FaultInjector>,
@@ -46,6 +53,9 @@ fn class_name(c: TrafficClass) -> &'static str {
 
 impl<T> MeshNoc<T> {
     pub fn new(mesh: Mesh2D, cfg: NocConfig) -> Self {
+        // A forwarded packet must not be ready in the cycle it moves: that
+        // is what lets `tick` visit routers in any order with one result.
+        assert!(cfg.router_latency >= 1, "a router pipeline takes at least one cycle");
         let lat_hists = TrafficClass::ALL
             .map(|c| gstats::hist(&format!("noc.lat.{}", class_name(c))));
         let queue_series = (0..mesh.len())
@@ -59,6 +69,8 @@ impl<T> MeshNoc<T> {
             cfg,
             routers: (0..mesh.len()).map(|_| Router::new()).collect(),
             delivered: (0..mesh.len()).map(|_| VecDeque::new()).collect(),
+            busy_routers: TileSet::new(mesh.len()),
+            delivery_tiles: TileSet::new(mesh.len()),
             stats: TrafficStats::default(),
             in_flight: 0,
             faults: None,
@@ -117,6 +129,12 @@ impl<T> MeshNoc<T> {
         &self.stats
     }
 
+    /// Tiles whose delivery queue holds a packet, ready or not. Only these
+    /// tiles can yield anything from [`Self::drain`].
+    pub fn delivery_tiles(&self) -> &TileSet {
+        &self.delivery_tiles
+    }
+
     /// Number of packets currently inside the fabric (not yet drained).
     pub fn in_flight(&self) -> usize {
         self.in_flight
@@ -161,10 +179,12 @@ impl<T> MeshNoc<T> {
         self.stats.on_inject(pkt.class);
         if pkt.src == pkt.dst {
             let at = now + self.cfg.router_latency;
+            self.delivery_tiles.insert(pkt.dst.index());
             self.delivered[pkt.dst.index()].push_back((at, pkt));
             return;
         }
         let ready = now + self.cfg.router_latency + extra;
+        self.busy_routers.insert(pkt.src.index());
         self.routers[pkt.src.index()].in_q[P_LOCAL].push_back(Queued { pkt, ready_at: ready });
     }
 
@@ -201,7 +221,13 @@ impl<T> MeshNoc<T> {
     }
 
     /// Advance the whole fabric by one cycle.
-    #[allow(clippy::needless_range_loop)]
+    ///
+    /// Only routers holding a packet are visited, in ascending index
+    /// order. Skipping the rest cannot change the trajectory: an empty
+    /// router has no ready head, so its arbitration moves no round-robin
+    /// pointer, and a packet forwarded this cycle becomes ready no earlier
+    /// than the next one, so visiting its new router now would find
+    /// nothing to send.
     pub fn tick(&mut self, now: Cycle) {
         // Apply any router kills that are due: the router dies in place and
         // its queued packets are lost.
@@ -218,6 +244,7 @@ impl<T> MeshNoc<T> {
                         self.dropped += purged as u64;
                         self.in_flight -= purged;
                     }
+                    self.busy_routers.remove(r);
                 } else {
                     i += 1;
                 }
@@ -229,71 +256,84 @@ impl<T> MeshNoc<T> {
                 gstats::push(sid, self.routers[r].occupancy() as f64);
             }
         }
-        // Per router: arbitrate each output port among ready head packets.
-        for r in 0..self.routers.len() {
-            if self.router_is_dead(r) {
-                continue;
-            }
-            let tile = TileId::from(r);
-            // What does each input-queue head want?
-            let mut wants: [Option<usize>; N_PORTS] = [None; N_PORTS];
-            for p in 0..N_PORTS {
-                if let Some(q) = self.routers[r].in_q[p].front() {
-                    if q.ready_at <= now {
-                        wants[p] = Some(self.out_port(tile, q.pkt.dst));
-                    }
-                }
-            }
-            for out in 0..N_PORTS {
-                if self.routers[r].out_free_at[out] > now {
-                    continue;
-                }
-                let Some(winner) = self.routers[r].arbitrate(out, &wants) else {
-                    continue;
-                };
-                wants[winner] = None; // an input port sends one packet/cycle
-                let q = self.routers[r].in_q[winner].pop_front().expect("head exists");
-                let ser = self.ser_cycles(q.pkt.bytes);
-                self.routers[r].out_free_at[out] = now + ser;
-                if out == P_LOCAL {
-                    // Ejection to the tile: available after serialization.
-                    self.delivered[r].push_back((now + ser, q.pkt));
-                } else {
-                    self.stats.on_link_traversal(q.pkt.class, q.pkt.bytes);
-                    let next = self
-                        .mesh
-                        .xy_next_hop(tile, q.pkt.dst)
-                        .expect("non-local output implies a next hop");
-                    if self.router_is_dead(next.index()) {
-                        // Forwarded into a dead router: the packet is lost
-                        // on the link (XY routing has no detour).
-                        self.dropped += 1;
-                        self.in_flight -= 1;
-                        continue;
-                    }
-                    let arrive =
-                        now + ser + self.cfg.link_latency + self.cfg.router_latency;
-                    self.routers[next.index()].in_q[Self::opposite(out)]
-                        .push_back(Queued { pkt: q.pkt, ready_at: arrive });
-                }
+        for w in 0..self.busy_routers.n_words() {
+            for r in bits(w, self.busy_routers.word(w)) {
+                self.route(r, now);
             }
         }
     }
 
-    /// Pop all packets delivered at `tile` that are ready at `now`.
+    /// One router's cycle: arbitrate each output port among ready head
+    /// packets and move the winners one hop (or eject them to the tile).
+    #[allow(clippy::needless_range_loop)]
+    fn route(&mut self, r: usize, now: Cycle) {
+        debug_assert!(!self.router_is_dead(r), "a dead router holds no packets");
+        let tile = TileId::from(r);
+        // What does each input-queue head want?
+        let mut wants: [Option<usize>; N_PORTS] = [None; N_PORTS];
+        for p in 0..N_PORTS {
+            if let Some(q) = self.routers[r].in_q[p].front() {
+                if q.ready_at <= now {
+                    wants[p] = Some(self.out_port(tile, q.pkt.dst));
+                }
+            }
+        }
+        for out in 0..N_PORTS {
+            if self.routers[r].out_free_at[out] > now {
+                continue;
+            }
+            let Some(winner) = self.routers[r].arbitrate(out, &wants) else {
+                continue;
+            };
+            wants[winner] = None; // an input port sends one packet/cycle
+            let q = self.routers[r].in_q[winner].pop_front().expect("head exists");
+            let ser = self.ser_cycles(q.pkt.bytes);
+            self.routers[r].out_free_at[out] = now + ser;
+            if out == P_LOCAL {
+                // Ejection to the tile: available after serialization.
+                self.delivery_tiles.insert(r);
+                self.delivered[r].push_back((now + ser, q.pkt));
+            } else {
+                self.stats.on_link_traversal(q.pkt.class, q.pkt.bytes);
+                let next = self
+                    .mesh
+                    .xy_next_hop(tile, q.pkt.dst)
+                    .expect("non-local output implies a next hop");
+                if self.router_is_dead(next.index()) {
+                    // Forwarded into a dead router: the packet is lost
+                    // on the link (XY routing has no detour).
+                    self.dropped += 1;
+                    self.in_flight -= 1;
+                    continue;
+                }
+                let arrive = now + ser + self.cfg.link_latency + self.cfg.router_latency;
+                self.busy_routers.insert(next.index());
+                self.routers[next.index()].in_q[Self::opposite(out)]
+                    .push_back(Queued { pkt: q.pkt, ready_at: arrive });
+            }
+        }
+        if self.routers[r].is_empty() {
+            self.busy_routers.remove(r);
+        }
+    }
+
+    /// Pop all packets delivered at `tile` that are ready at `now`, in
+    /// queue order; packets not yet ready stay queued in their order.
     pub fn drain(&mut self, tile: TileId, now: Cycle, out: &mut Vec<Packet<T>>) {
         let q = &mut self.delivered[tile.index()];
-        let mut i = 0;
-        while i < q.len() {
-            if q[i].0 <= now {
-                let (_, pkt) = q.remove(i).expect("index in range");
-                self.in_flight -= 1;
-                let lat = now.saturating_sub(pkt.injected_at);
-                gstats::hist_record(self.lat_hists[pkt.class.index()], lat);
-                out.push(pkt);
-            } else {
-                i += 1;
+        for _ in 0..q.len() {
+            let (at, pkt) = q.pop_front().expect("counted");
+            if at > now {
+                q.push_back((at, pkt));
+                continue;
             }
+            self.in_flight -= 1;
+            let lat = now.saturating_sub(pkt.injected_at);
+            gstats::hist_record(self.lat_hists[pkt.class.index()], lat);
+            out.push(pkt);
+        }
+        if q.is_empty() {
+            self.delivery_tiles.remove(tile.index());
         }
     }
 
@@ -388,7 +428,22 @@ impl<T> MeshNoc<T> {
             let tile = r.usize()?;
             Ok((at, tile))
         })?;
+        self.rebuild_active_sets();
         Ok(())
+    }
+
+    /// Recompute the derived active sets from the queues they index.
+    fn rebuild_active_sets(&mut self) {
+        self.busy_routers.clear();
+        self.delivery_tiles.clear();
+        for t in 0..self.routers.len() {
+            if !self.routers[t].is_empty() {
+                self.busy_routers.insert(t);
+            }
+            if !self.delivered[t].is_empty() {
+                self.delivery_tiles.insert(t);
+            }
+        }
     }
 
     /// True when no packet is anywhere in the fabric or delivery buffers.
@@ -582,6 +637,165 @@ mod tests {
         n.tick(1);
         assert!(n.is_idle(), "queued packet purged with the router");
         assert_eq!(n.packets_dropped(), 1);
+    }
+
+    #[test]
+    fn drain_takes_ready_packets_in_queue_order() {
+        let mut n = noc();
+        let t = TileId(5);
+        // Local bypasses are ready `router_latency` (3) cycles after their
+        // injection cycle, so these queue up ready at 13, 3, 23, 8.
+        for (tag, at) in [(1, 10), (2, 0), (3, 20), (4, 5)] {
+            n.inject(pkt(5, 5, 8, tag), at);
+        }
+        let mut take = |now| {
+            let mut got = Vec::new();
+            n.drain(t, now, &mut got);
+            got.iter().map(|p| p.payload).collect::<Vec<_>>()
+        };
+        assert_eq!(take(9), [2, 4], "ready packets leave in queue order");
+        assert_eq!(take(13), [1], "the rest keep their order");
+        assert_eq!(take(22), [] as [u32; 0]);
+        assert_eq!(take(23), [3]);
+        assert!(n.is_idle());
+        assert!(n.delivery_tiles().is_empty(), "an emptied queue leaves the set");
+    }
+
+    /// The active sets equal the sets they are derived from.
+    fn assert_active_sets_exact(n: &MeshNoc<u32>) {
+        let busy: Vec<usize> =
+            (0..n.routers.len()).filter(|&r| n.routers[r].occupancy() > 0).collect();
+        assert_eq!(n.busy_routers.iter().collect::<Vec<_>>(), busy, "router set");
+        let delivering: Vec<usize> =
+            (0..n.delivered.len()).filter(|&t| !n.delivered[t].is_empty()).collect();
+        assert_eq!(n.delivery_tiles.iter().collect::<Vec<_>>(), delivering, "delivery set");
+    }
+
+    /// Seeded traffic on a 9×9 mesh: 81 tiles, so both active sets span two
+    /// words. The center router dies at cycle 300 with a packet still
+    /// queued in it, and a packet sent along its row afterwards is
+    /// forwarded into it and lost.
+    struct Traffic {
+        rng: glocks_sim_base::rng::SplitMix64,
+        next_tag: u32,
+    }
+
+    const SIDE: u16 = 9;
+    const KILLED: u16 = 40;
+    const KILL_AT: Cycle = 300;
+
+    impl Traffic {
+        fn new() -> Self {
+            Traffic { rng: glocks_sim_base::rng::SplitMix64::new(0xAC71_5E75), next_tag: 0 }
+        }
+
+        fn inject(&mut self, n: &mut MeshNoc<u32>, now: Cycle) {
+            if now >= 600 {
+                return;
+            }
+            let tiles = (SIDE * SIDE) as u64;
+            for _ in 0..self.rng.next_below(4) {
+                let src = self.rng.next_below(tiles) as u16;
+                let dst = self.rng.next_below(tiles) as u16;
+                let bytes = if self.rng.next_below(2) == 0 { 8 } else { 150 };
+                let mut p = pkt(src, dst, bytes, self.next_tag);
+                p.injected_at = now;
+                n.inject(p, now);
+                self.next_tag += 1;
+            }
+            if now == KILL_AT - 1 {
+                // Still in the router pipeline when the kill fires.
+                n.inject(pkt(KILLED, KILLED + 1, 8, u32::MAX - 1), now);
+            }
+            if now == KILL_AT + 10 {
+                // West edge to east edge of the killed router's row.
+                n.inject(pkt(4 * SIDE, 4 * SIDE + SIDE - 1, 8, u32::MAX), now);
+            }
+        }
+    }
+
+    fn fabric_9x9() -> MeshNoc<u32> {
+        let mut n = MeshNoc::new(Mesh2D::new(SIDE, SIDE), CmpConfig::paper_baseline().noc);
+        n.schedule_router_kill(TileId(KILLED), KILL_AT);
+        n
+    }
+
+    /// One cycle: inject, tick, drain every tile. Returns the deliveries
+    /// as `(cycle, tile, tag)`.
+    fn step(n: &mut MeshNoc<u32>, traffic: &mut Traffic, now: Cycle) -> Vec<(Cycle, u16, u32)> {
+        traffic.inject(n, now);
+        n.tick(now);
+        assert_active_sets_exact(n);
+        let mut out = Vec::new();
+        let mut buf = Vec::new();
+        for t in 0..SIDE * SIDE {
+            buf.clear();
+            n.drain(TileId(t), now, &mut buf);
+            assert_active_sets_exact(n);
+            out.extend(buf.iter().map(|p| (now, t, p.payload)));
+        }
+        out
+    }
+
+    #[test]
+    fn active_sets_track_queues_through_kills_and_drains() {
+        let mut n = fabric_9x9();
+        let mut traffic = Traffic::new();
+        let mut delivered = Vec::new();
+        let mut now = 0;
+        while now < 600 || !n.is_idle() {
+            delivered.extend(step(&mut n, &mut traffic, now));
+            now += 1;
+        }
+        assert_eq!(n.router_dead_at(TileId(KILLED)), Some(KILL_AT));
+        assert!(
+            delivered.iter().all(|&(_, _, tag)| tag < u32::MAX - 1),
+            "packets queued in or forwarded into the dead router must be lost"
+        );
+        assert!(n.packets_dropped() > 1);
+        assert!(delivered.len() > 500, "traffic actually flowed ({})", delivered.len());
+        assert!(n.busy_routers.is_empty() && n.delivery_tiles.is_empty());
+    }
+
+    #[test]
+    fn restored_fabric_rebuilds_active_sets_and_delivers_identically() {
+        let save_u32 = &mut |w: &mut SnapWriter, v: &u32| w.u32(*v);
+        let load_u32 = &mut |r: &mut SnapReader<'_>| r.u32();
+        let mut a = fabric_9x9();
+        let mut traffic = Traffic::new();
+        // Mid-flight, before the kill fires.
+        for now in 0..250 {
+            step(&mut a, &mut traffic, now);
+        }
+        assert!(a.queued_packets() > 0, "snapshot must catch packets in routers");
+        let mut w = SnapWriter::new();
+        a.save_state(&mut w, save_u32);
+        let bytes = w.into_bytes();
+        let mut b = MeshNoc::new(Mesh2D::new(SIDE, SIDE), CmpConfig::paper_baseline().noc);
+        b.load_state(&mut SnapReader::new(&bytes), load_u32).expect("snapshot loads");
+        assert_active_sets_exact(&b);
+        assert_eq!(a.busy_routers, b.busy_routers);
+        assert_eq!(a.delivery_tiles, b.delivery_tiles);
+
+        let mut traffic_b = Traffic { rng: traffic.rng.clone(), next_tag: traffic.next_tag };
+        let mut now = 250;
+        while now < 600 || !a.is_idle() {
+            let got_a = step(&mut a, &mut traffic, now);
+            let got_b = step(&mut b, &mut traffic_b, now);
+            assert_eq!(got_a, got_b, "restored fabric diverged at cycle {now}");
+            now += 1;
+        }
+        assert!(b.is_idle());
+        assert_eq!(b.router_dead_at(TileId(KILLED)), Some(KILL_AT));
+        assert_eq!(a.packets_dropped(), b.packets_dropped());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cycle")]
+    fn zero_cycle_routers_are_refused() {
+        let mut cfg = CmpConfig::paper_baseline().noc;
+        cfg.router_latency = 0;
+        let _ = MeshNoc::<u32>::new(Mesh2D::new(2, 2), cfg);
     }
 
     #[test]

@@ -51,6 +51,10 @@ impl<T> Router<T> {
         self.in_q.iter().map(VecDeque::len).sum()
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.in_q.iter().all(VecDeque::is_empty)
+    }
+
     pub fn save_state(&self, w: &mut SnapWriter, save_payload: &mut dyn FnMut(&mut SnapWriter, &T)) {
         for q in &self.in_q {
             w.usize(q.len());

@@ -491,6 +491,12 @@ impl Simulation {
         self.now
     }
 
+    /// What the memory system is doing at this cycle boundary: packets in
+    /// flight, busy controllers (the `mem` part of a wedge diagnosis).
+    pub fn mem_diag(&self) -> glocks_mem::MemDiag {
+        self.mem.diag()
+    }
+
     /// Digest of the specification this machine was built from (what a
     /// snapshot's header must carry to be loadable here).
     pub fn fingerprint(&self) -> u64 {

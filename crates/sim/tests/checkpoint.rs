@@ -6,7 +6,7 @@
 
 use glocks_cpu::{Action, Workload};
 use glocks_locks::LockAlgorithm;
-use glocks_mem::MemOp;
+use glocks_mem::{MemDiag, MemOp};
 use glocks_sim::{CheckerConfig, LockMapping, Simulation, SimulationOptions, Snapshot};
 use glocks_sim_base::fault::{FaultPlan, FaultRates};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
@@ -130,6 +130,12 @@ fn baseline(s: Scenario) -> (String, u64) {
 /// Checkpoint at (or just past) `at_cycle`, round-trip the snapshot
 /// through its byte encoding, resume into a fresh machine, and finish.
 fn interrupted(s: Scenario, at_cycle: u64) -> (String, u64) {
+    interrupted_in(s, at_cycle).0
+}
+
+/// [`interrupted`], also returning what the memory system was doing at
+/// the checkpoint.
+fn interrupted_in(s: Scenario, at_cycle: u64) -> ((String, u64), MemDiag) {
     glocks_stats::enable(glocks_stats::StatsConfig::default());
     let mut sim = build(s);
     while sim.now() < at_cycle {
@@ -137,6 +143,7 @@ fn interrupted(s: Scenario, at_cycle: u64) -> (String, u64) {
             break;
         }
     }
+    let at_checkpoint = sim.mem_diag();
     let bytes = sim.checkpoint().expect("every component supports snapshots").into_bytes();
     drop(sim); // the interrupted process is gone
     glocks_stats::disable();
@@ -145,7 +152,7 @@ fn interrupted(s: Scenario, at_cycle: u64) -> (String, u64) {
     glocks_stats::enable(glocks_stats::StatsConfig::default());
     let resumed = resume(s, &snap);
     assert_eq!(resumed.now(), snap.cycle());
-    finish_with_stats(resumed)
+    (finish_with_stats(resumed), at_checkpoint)
 }
 
 fn assert_equivalent(s: Scenario, at_cycle: u64) {
@@ -159,6 +166,21 @@ fn assert_equivalent(s: Scenario, at_cycle: u64) {
 fn mcs_resume_is_byte_identical() {
     let s = Scenario { algo: LockAlgorithm::Mcs, cores: 8, iters: 4, faults: false, checker: false };
     assert_equivalent(s, 1_500);
+}
+
+/// A 10×10 mesh has 100 routers, delivery queues and controllers, so the
+/// memory system's active sets span two `u64` words. The checkpoint lands
+/// with packets queued in routers, and the resumed machine must rebuild
+/// the sets from its restored queues.
+#[test]
+fn resume_on_a_100_core_mesh_with_packets_in_flight_is_byte_identical() {
+    let s =
+        Scenario { algo: LockAlgorithm::Mcs, cores: 100, iters: 1, faults: false, checker: false };
+    let (ref_json, ref_counter) = baseline(s);
+    let ((got_json, got_counter), at_checkpoint) = interrupted_in(s, 2_000);
+    assert!(at_checkpoint.noc_queued > 0, "no packet in a router: {at_checkpoint:?}");
+    assert_eq!(got_counter, ref_counter, "memory image diverged");
+    assert_eq!(got_json, ref_json, "stats dump not byte-identical after resume");
 }
 
 #[test]
@@ -233,6 +255,8 @@ fn dense_and_event_driven_runs_are_byte_identical() {
         Scenario { algo: LockAlgorithm::Mcs, cores: 8, iters: 4, faults: false, checker: false },
         Scenario { algo: LockAlgorithm::Glock, cores: 8, iters: 12, faults: true, checker: false },
         Scenario { algo: LockAlgorithm::Glock, cores: 8, iters: 8, faults: true, checker: true },
+        // Two-word active sets on a 10×10 mesh.
+        Scenario { algo: LockAlgorithm::Mcs, cores: 100, iters: 1, faults: false, checker: false },
     ];
     for s in scenarios {
         let (skip_json, skip_counter) = baseline(s);

@@ -12,9 +12,14 @@ Two independent gates, both of which must pass:
     every cycle and the ratio collapses to ~1x.  Comparing two phases of
     one run cancels out runner speed, so this gate cannot be fooled by a
     fast machine.
-  * absolute floor: `total_cycles_per_sec` must clear a floor set far
-    below any healthy run (guards against pathological slowdowns the
-    ratio cannot see, e.g. a regression that slows *every* phase).
+  * absolute floors: `total_cycles_per_sec` and the saturated phase's
+    tile-cycles/s (cycles/s times the tiles of its `..._<N>t` label)
+    must each clear a floor set far below any healthy run.  They guard
+    against pathological slowdowns the ratio cannot see, e.g. a
+    regression that slows *every* phase.  Tile-cycles/s is the busy
+    path's cost unit: a saturated cycle's work grows with the number of
+    tiles that have work, so it ports across phase sizes better than raw
+    cycles/s.
 
 With --append, the run's headline numbers are also appended as one JSON
 line to a trajectory file (JSONL), which CI uploads as an artifact so the
@@ -23,7 +28,16 @@ fleet's perf history accumulates across runs.
 
 import argparse
 import json
+import re
 import sys
+
+
+def phase_tiles(label: str) -> int:
+    """Tile count of a phase labelled `<bench>_<lock>_..._<N>t`."""
+    m = re.search(r"_(\d+)t$", label)
+    if not m:
+        raise ValueError(f"phase label {label!r} does not end in _<tiles>t")
+    return int(m.group(1))
 
 
 def main() -> int:
@@ -49,10 +63,15 @@ def main() -> int:
         return 1
 
     ratio = idle / busy if busy > 0 else float("inf")
+    busy_tiles = busy * phase_tiles(base["busy_phase"])
     total = bench["total_cycles_per_sec"]
     print(f"total            {total:>12.0f} cycles/s (floor {base['min_total_cycles_per_sec']})")
     print(f"idle-heavy phase {idle:>12.0f} cycles/s ({base['idle_phase']})")
     print(f"saturated phase  {busy:>12.0f} cycles/s ({base['busy_phase']})")
+    print(
+        f"saturated phase  {busy_tiles:>12.0f} tile-cycles/s "
+        f"(floor {base['min_busy_tile_cycles_per_sec']})"
+    )
     print(f"idle/busy ratio  {ratio:>12.2f} (floor {base['min_idle_over_busy']})")
 
     ok = True
@@ -70,6 +89,13 @@ def main() -> int:
             file=sys.stderr,
         )
         ok = False
+    if busy_tiles < base["min_busy_tile_cycles_per_sec"]:
+        print(
+            f"FAIL: saturated phase {busy_tiles:.0f} tile-cycles/s below floor "
+            f"{base['min_busy_tile_cycles_per_sec']} — the busy path has regressed",
+            file=sys.stderr,
+        )
+        ok = False
 
     if args.append:
         entry = {
@@ -77,6 +103,7 @@ def main() -> int:
             "total_cycles_per_sec": round(total),
             "idle_cycles_per_sec": round(idle),
             "busy_cycles_per_sec": round(busy),
+            "busy_tile_cycles_per_sec": round(busy_tiles),
             "idle_over_busy": round(ratio, 2),
             "total_sim_cycles": bench["total_sim_cycles"],
             "total_wall_s": round(bench["total_wall_s"], 3),

@@ -238,21 +238,29 @@ fn enabling_the_checker_does_not_perturb_the_simulation() {
 }
 
 /// The committed goldens, regenerated through the same harness path as
-/// `glocks-experiments stats --quick --threads 8 --stats-json DIR`, must
+/// `glocks-experiments stats --quick --threads N --stats-json DIR`, must
 /// match byte for byte: no tolerance, unlike the CI `glocks-stats diff`
-/// gate. The MCS golden exercises every coherence counter family
-/// (upgrades, invalidations, forwards, cache-to-cache transfers).
+/// gate. The MCS goldens exercise every coherence counter family
+/// (upgrades, invalidations, forwards, cache-to-cache transfers). The
+/// 64-core MCS golden runs on an 8×8 mesh, where the active sets of
+/// routers, delivery queues and controllers fill a whole `u64` word and
+/// NoC arbitration is densest.
 #[test]
 fn golden_dumps_regenerate_byte_identically() {
     use glocks_repro::harness::exp::{self, glock_mapping, mcs_mapping, ExpOptions};
     let dir = std::env::temp_dir().join(format!("glocks_golden_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     exp::set_stats_dir(dir.to_str());
-    let bench = ExpOptions { quick: true, threads: 8 }.bench(BenchKind::Sctr);
-    for mapping in [glock_mapping(&bench), mcs_mapping(&bench)] {
+    let bench = |threads| ExpOptions { quick: true, threads }.bench(BenchKind::Sctr);
+    let runs = [
+        (bench(8), glock_mapping(&bench(8))),
+        (bench(8), mcs_mapping(&bench(8))),
+        (bench(64), mcs_mapping(&bench(64))),
+    ];
+    for (bench, mapping) in runs {
         exp::set_stats_context("stats");
         exp::run_bench(&bench, &mapping).expect("fault-free run");
-        let name = format!("stats_SCTR_{}_8t_0.json", mapping.label());
+        let name = format!("stats_SCTR_{}_{}t_0.json", mapping.label(), bench.threads);
         let fresh = std::fs::read(dir.join(&name)).expect("dump written");
         let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(&name);
         let golden = std::fs::read(golden).expect("golden committed");
