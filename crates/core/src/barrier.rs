@@ -18,9 +18,10 @@
 use crate::signal::{Endpoint, InFlight, Sig, Wires};
 use crate::topology::Topology;
 use crate::node::Child;
+use glocks_sim_base::bitset::WakeSet;
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::Cycle;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 /// Per-core barrier interface: the core raises `arrive` and busy-waits on
@@ -28,11 +29,16 @@ use std::rc::Rc;
 #[derive(Debug)]
 pub struct BarrierRegs {
     arrive: Vec<Cell<bool>>,
+    /// The runner's wake set for parked cores, if one is attached.
+    core_wakes: OnceCell<Rc<WakeSet>>,
 }
 
 impl BarrierRegs {
     fn new(n_cores: usize) -> Rc<Self> {
-        Rc::new(BarrierRegs { arrive: (0..n_cores).map(|_| Cell::new(false)).collect() })
+        Rc::new(BarrierRegs {
+            arrive: (0..n_cores).map(|_| Cell::new(false)).collect(),
+            core_wakes: OnceCell::new(),
+        })
     }
 
     /// Core side: signal arrival (`mov 1, barrier_arrive`).
@@ -45,8 +51,12 @@ impl BarrierRegs {
         self.arrive[core].get()
     }
 
+    /// The barrier opened for `core`: reset its register and wake it.
     fn release(&self, core: usize) {
         self.arrive[core].set(false);
+        if let Some(w) = self.core_wakes.get() {
+            w.insert(core);
+        }
     }
 
     fn raised(&self, core: usize) -> bool {
@@ -95,6 +105,15 @@ impl GBarrierNetwork {
 
     pub fn regs(&self) -> Rc<BarrierRegs> {
         Rc::clone(&self.regs)
+    }
+
+    /// Wake cores in `wakes` when the barrier releases them. Attached
+    /// once, before the run.
+    pub fn attach_core_wakes(&self, wakes: &Rc<WakeSet>) {
+        assert!(
+            self.regs.core_wakes.set(Rc::clone(wakes)).is_ok(),
+            "core wake set attached twice"
+        );
     }
 
     /// Completed barrier episodes.

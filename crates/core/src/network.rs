@@ -4,12 +4,13 @@ use crate::node::{ArbiterNode, LeafCtl, LeafState, RetryPolicy};
 use crate::regs::GlockRegisters;
 use crate::signal::{Endpoint, InFlight, Sig, Wires};
 use crate::topology::Topology;
+use glocks_sim_base::bitset::{bits, TileSet, WakeSet};
 use glocks_sim_base::fault::FaultInjector;
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::trace::TraceMask;
 use glocks_sim_base::{trace_event, CoreId, Cycle};
 use glocks_stats as gstats;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 /// Retransmission attempts before a controller declares the network dead.
@@ -44,6 +45,8 @@ pub struct NetworkHealth {
     /// Times this network's hardware was repaired (rebooted to the boot
     /// image). Cumulative across flapping episodes.
     repairs: Cell<u64>,
+    /// The runner's wake set for parked cores, if one is attached.
+    core_wakes: OnceCell<Rc<WakeSet>>,
 }
 
 impl Default for NetworkHealth {
@@ -52,6 +55,7 @@ impl Default for NetworkHealth {
             mode: Cell::new(HealthMode::Healthy),
             dead_since: Cell::new(0),
             repairs: Cell::new(0),
+            core_wakes: OnceCell::new(),
         }
     }
 }
@@ -78,10 +82,16 @@ impl NetworkHealth {
         self.repairs.get()
     }
 
+    /// The death verdict. Wakes every core: a core spinning on this
+    /// network's `lock_req` (directly or through the dynamic pool) must
+    /// observe the verdict and fail over.
     pub(crate) fn mark_dead(&self, now: Cycle) {
         if self.mode.get() != HealthMode::Dead {
             self.mode.set(HealthMode::Dead);
             self.dead_since.set(now);
+            if let Some(w) = self.core_wakes.get() {
+                w.insert_all();
+            }
         }
     }
 
@@ -173,6 +183,11 @@ pub struct GlockNetwork {
     timers_armed: bool,
     arbs: Vec<ArbiterNode>,
     leaves: Vec<LeafCtl>,
+    /// Arbiters [`GlockNetwork::tick`] visits: those a signal was
+    /// delivered to, plus those whose own `next_event` was still `Some`
+    /// after their last tick. The leaf counterpart lives in the register
+    /// file, where core-side writes mark it.
+    hot_arbs: TileSet,
     wires: Wires,
     regs: Rc<GlockRegisters>,
     deliver_buf: Vec<InFlight>,
@@ -221,6 +236,7 @@ impl GlockNetwork {
             latency: gline_latency,
             policy: RetryPolicy::DEFAULT,
             timers_armed: false,
+            hot_arbs: TileSet::new(arbs.len()),
             arbs,
             leaves,
             wires: Wires::new(),
@@ -244,12 +260,54 @@ impl GlockNetwork {
         Rc::clone(&self.regs)
     }
 
+    /// Wake cores in `wakes` whenever this network ends a register spin:
+    /// a grant wakes its core; a death verdict and a repair wake every
+    /// core. Attached once, before the run.
+    pub fn attach_core_wakes(&self, wakes: &Rc<WakeSet>) {
+        self.regs.attach_core_wakes(wakes);
+        assert!(
+            self.health.core_wakes.set(Rc::clone(wakes)).is_ok(),
+            "core wake set attached twice"
+        );
+    }
+
+    /// Mark every automaton hot. Used when something outside a tick
+    /// changes what the automata would do: a kill, a repair, a new retry
+    /// policy, a restored snapshot. The next tick trims the sets back.
+    fn mark_all_hot(&mut self) {
+        self.regs.hot_leaves().insert_all();
+        for a in 0..self.arbs.len() {
+            self.hot_arbs.insert(a);
+        }
+    }
+
+    /// Drop every member whose `next_event(at)` is `None`.
+    fn trim_hot(&mut self, at: Cycle) {
+        let policy = self.active_policy();
+        let hot = self.regs.hot_leaves();
+        for w in 0..hot.n_words() {
+            for i in bits(w, hot.word(w)) {
+                if self.leaves[i].next_event(at, &policy, &self.regs).is_none() {
+                    hot.remove(i);
+                }
+            }
+        }
+        for w in 0..self.hot_arbs.n_words() {
+            for a in bits(w, self.hot_arbs.word(w)) {
+                if self.arbs[a].next_event(at, &policy).is_none() {
+                    self.hot_arbs.remove(a);
+                }
+            }
+        }
+    }
+
     /// Override the loss-recovery retransmission timing. This also arms
     /// the timers; pass [`RetryPolicy::DISABLED`] to force them off even
     /// under faults.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.policy = policy;
         self.timers_armed = policy.enabled();
+        self.mark_all_hot();
     }
 
     /// Subject this network's G-lines to a deterministic fault schedule.
@@ -259,6 +317,7 @@ impl GlockNetwork {
     pub fn set_faults(&mut self, faults: FaultInjector) {
         self.wires.set_faults(faults);
         self.timers_armed = true;
+        self.mark_all_hot();
     }
 
     /// Soft-fault totals from the wires' injector, if one is attached.
@@ -344,13 +403,20 @@ impl GlockNetwork {
             self.timers_armed = armed;
         }
         self.health.mark_untrusted();
+        self.mark_all_hot();
         trace_event!(TraceMask::GLOCK, now, "glock: network repaired (untrusted)");
     }
 
     /// Advance the network one cycle: deliver due signals, then run every
-    /// automaton. Matches Figure 4's timing: a request raised during cycle
-    /// `t` is granted at cycle `t + 4` worst-case / `t + 2` best-case, and
-    /// a release costs one cycle.
+    /// automaton with work. Matches Figure 4's timing: a request raised
+    /// during cycle `t` is granted at cycle `t + 4` worst-case / `t + 2`
+    /// best-case, and a release costs one cycle.
+    ///
+    /// Only the hot sets are visited, leaves then arbiters, each in
+    /// ascending order. Skipping the others changes nothing: an automaton
+    /// whose `next_event` is `None` would neither emit nor change state,
+    /// and everything that could change that marks it hot first (a
+    /// register write, a delivery, a kill or repair).
     pub fn tick(&mut self, now: Cycle) {
         if !self.scheduled_kills.is_empty() {
             let mut fired = false;
@@ -371,6 +437,7 @@ impl GlockNetwork {
             }
             if fired {
                 self.arm_detection();
+                self.mark_all_hot();
             }
         }
         if self.health.is_dead() {
@@ -390,6 +457,7 @@ impl GlockNetwork {
             // anything again. Cores that accepted a grant before the
             // verdict still hold their registers; the failover layer
             // drains them on the software path.
+            self.trim_hot(now + 1);
             return;
         }
         self.deliver_buf.clear();
@@ -398,6 +466,7 @@ impl GlockNetwork {
             let s = self.deliver_buf[i];
             match s.dst {
                 Endpoint::Arb(a) => {
+                    self.hot_arbs.insert(a);
                     trace_event!(
                         TraceMask::GLOCK,
                         now,
@@ -408,6 +477,7 @@ impl GlockNetwork {
                     self.arbs[a].on_signal(s.sig, s.child_index, s.epoch)
                 }
                 Endpoint::Leaf(c) => {
+                    self.regs.hot_leaves().insert(c.index());
                     debug_assert_eq!(s.sig, Sig::Token, "leaves only receive TOKEN");
                     if self.leaves[c.index()].on_token(&self.regs, s.epoch) {
                         trace_event!(TraceMask::GLOCK, now, "glock: TOKEN granted to core {c}");
@@ -431,18 +501,24 @@ impl GlockNetwork {
             }
         }
         let policy = self.active_policy();
-        for leaf in &mut self.leaves {
+        // An automaton gives up only inside its own tick, and the verdict
+        // below lands in that same tick, so checking the ticked ones is
+        // checking them all.
+        let mut gave_up = false;
+        for i in self.regs.hot_leaves().iter() {
+            let leaf = &mut self.leaves[i];
             leaf.tick(now, self.latency, &policy, &self.regs, &mut self.wires);
+            gave_up |= leaf.gave_up();
         }
-        for arb in &mut self.arbs {
+        for a in self.hot_arbs.iter() {
+            let arb = &mut self.arbs[a];
             arb.tick(now, self.latency, &policy, &mut self.wires);
+            gave_up |= arb.gave_up();
         }
+        self.trim_hot(now + 1);
         // Failure detection: any controller that exhausted its bounded
         // retransmission budget escalates to a network-wide death verdict.
-        if policy.max_attempts > 0
-            && !self.health.is_dead()
-            && (self.leaves.iter().any(|l| l.gave_up()) || self.arbs.iter().any(|a| a.gave_up()))
-        {
+        if policy.max_attempts > 0 && !self.health.is_dead() && gave_up {
             trace_event!(TraceMask::GLOCK, now, "glock: network declared dead");
             self.health.mark_dead(now);
         }
@@ -544,6 +620,7 @@ impl GlockNetwork {
             None
         };
         self.health.load_state(r)?;
+        self.mark_all_hot();
         Ok(())
     }
 
@@ -605,16 +682,18 @@ impl GlockNetwork {
             // by cycle — stay dense until the wires drain.
             return Some(now);
         }
+        // Automata outside the hot sets report `None`: folding over the
+        // members alone is the fold over every automaton.
         let policy = self.active_policy();
         let mut wake = kills;
-        for leaf in &self.leaves {
-            wake = fold(wake, leaf.next_event(now, &policy, &self.regs));
+        for i in self.regs.hot_leaves().iter() {
+            wake = fold(wake, self.leaves[i].next_event(now, &policy, &self.regs));
             if wake == Some(now) {
                 return wake;
             }
         }
-        for arb in &self.arbs {
-            wake = fold(wake, arb.next_event(now, &policy));
+        for a in self.hot_arbs.iter() {
+            wake = fold(wake, self.arbs[a].next_event(now, &policy));
             if wake == Some(now) {
                 return wake;
             }
@@ -1247,6 +1326,116 @@ mod tests {
         }
         let second_death = health.dead_since().unwrap();
         assert!(second_death > first_death, "re-death records a fresh verdict cycle");
+    }
+
+    impl GlockNetwork {
+        /// The hot sets' members, leaves then arbiters, ascending.
+        fn hot_members(&self) -> (Vec<usize>, Vec<usize>) {
+            (self.regs.hot_leaves().iter().collect(), self.hot_arbs.iter().collect())
+        }
+
+        /// What the hot sets must hold after a tick of cycle `now`.
+        fn expected_hot(&self, now: Cycle) -> (Vec<usize>, Vec<usize>) {
+            let policy = self.active_policy();
+            let leaves = (0..self.leaves.len())
+                .filter(|&i| self.leaves[i].next_event(now + 1, &policy, &self.regs).is_some())
+                .collect();
+            let arbs = (0..self.arbs.len())
+                .filter(|&a| self.arbs[a].next_event(now + 1, &policy).is_some())
+                .collect();
+            (leaves, arbs)
+        }
+    }
+
+    /// Drive `net` with seeded random `set_req`/`set_rel` writes for
+    /// `cycles` cycles, next to a reference copy that marks every
+    /// automaton hot before each tick, so it ticks them all. After every
+    /// tick the hot sets must hold exactly the automata with a pending
+    /// event, and grants, the grant log, signal counts and registers must
+    /// match the reference.
+    fn check_hot_sets_against_full_sweep(
+        topo: &Topology,
+        seed: u64,
+        cycles: Cycle,
+        setup: impl Fn(&mut GlockNetwork),
+    ) -> GlockNetwork {
+        use glocks_sim_base::SplitMix64;
+        let mut net = GlockNetwork::new(topo, 1);
+        let mut reference = GlockNetwork::new(topo, 1);
+        setup(&mut net);
+        setup(&mut reference);
+        let (regs, ref_regs) = (net.regs(), reference.regs());
+        let mut rng = SplitMix64::new(seed);
+        let mut skipped = 0u64;
+        for now in 0..cycles {
+            for c in 0..topo.n_cores {
+                let idle = !regs.req_pending(c) && !regs.rel_pending(c) && regs.hw_holder() != Some(c);
+                if idle && rng.next_below(16) == 0 {
+                    regs.set_req(c);
+                    ref_regs.set_req(c);
+                }
+            }
+            if let Some(h) = regs.hw_holder().filter(|&h| !regs.rel_pending(h)) {
+                if rng.next_below(4) == 0 {
+                    regs.set_rel(h);
+                    ref_regs.set_rel(h);
+                }
+            }
+            reference.mark_all_hot();
+            net.tick(now);
+            reference.tick(now);
+            let (leaves, arbs) = net.hot_members();
+            assert_eq!((leaves.clone(), arbs.clone()), net.expected_hot(now), "cycle {now}");
+            skipped += (topo.n_cores - leaves.len() + net.arbs.len() - arbs.len()) as u64;
+            assert_eq!(net.stats(), reference.stats(), "cycle {now}");
+            assert_eq!(net.grant_log(), reference.grant_log(), "cycle {now}");
+            assert_eq!(net.holder(), reference.holder(), "cycle {now}");
+            assert_eq!(net.health().is_dead(), reference.health().is_dead(), "cycle {now}");
+            for c in 0..topo.n_cores {
+                assert_eq!(regs.req_pending(c), ref_regs.req_pending(c), "cycle {now}");
+                assert_eq!(regs.rel_pending(c), ref_regs.rel_pending(c), "cycle {now}");
+            }
+        }
+        assert!(net.stats().grants > 0, "the driver must exercise the lock");
+        assert!(skipped > 0, "some automaton must have been skipped");
+        net
+    }
+
+    #[test]
+    fn hot_sets_match_a_full_sweep_fault_free() {
+        check_hot_sets_against_full_sweep(&Topology::flat(Mesh2D::new(3, 3)), 1, 5_000, |_| {});
+        let topo = Topology::hierarchical(Mesh2D::new(8, 8), 7);
+        check_hot_sets_against_full_sweep(&topo, 2, 5_000, |_| {});
+    }
+
+    #[test]
+    fn hot_sets_match_a_full_sweep_through_kills_and_repairs() {
+        use glocks_sim_base::{FaultPlan, FaultRates, FaultSite};
+        // Flat 3×3, lossy wires (armed timers keep their owners hot), a
+        // leaf killed and later repaired.
+        let flat = check_hot_sets_against_full_sweep(
+            &Topology::flat(Mesh2D::new(3, 3)),
+            3,
+            60_000,
+            |n| {
+                let mut plan = FaultPlan::seeded(7);
+                plan.gline = FaultRates { drop_ppm: 20_000, delay_ppm: 20_000, max_delay: 8, duplicate_ppm: 20_000 };
+                n.set_faults(plan.injector(FaultSite::Gline, 0));
+                n.schedule_leaf_kill(2_000, 4);
+                n.schedule_repair(3_000);
+            },
+        );
+        assert_eq!(flat.health().repairs(), 1, "the leaf kill must be detected and repaired");
+        // Hierarchical 8×8: the G-lines die and come back; a leaf dies for
+        // good after the repair.
+        let topo = Topology::hierarchical(Mesh2D::new(8, 8), 7);
+        let hier = check_hot_sets_against_full_sweep(&topo, 4, 60_000, |n| {
+            n.schedule_line_kill(1_000);
+            n.schedule_repair(2_000);
+            n.schedule_leaf_kill(50_000, 9);
+        });
+        assert_eq!(hier.health().repairs(), 1, "the line kill must be detected and repaired");
+        assert!(hier.is_compromised(), "the late leaf kill fired");
     }
 
     #[test]

@@ -10,9 +10,16 @@
 //! between the core-side scripts and the G-line network through
 //! `Rc<GlockRegisters>` with `Cell` fields — modelling memory-mapped
 //! device registers.
+//!
+//! The register file is also where the two halves of the simulator's
+//! active sets meet. A core-side write marks the core's local controller
+//! in `hot_leaves`, so the network ticks only controllers with work. A
+//! controller-side reset marks the core in the runner's wake set, so a
+//! core parked on `bnz lock_req, loop` is ticked again.
 
+use glocks_sim_base::bitset::WakeSet;
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 /// The register pairs of one hardware lock, one pair per core.
@@ -26,6 +33,11 @@ pub struct GlockRegisters {
     /// see a torn holder — unlike polling the core-side scripts, which
     /// learn of a grant one resume later.
     holder: Cell<Option<usize>>,
+    /// Local controllers the network must tick: marked by core-side
+    /// writes, trimmed by the network once a controller has no work.
+    hot_leaves: WakeSet,
+    /// The runner's wake set for parked cores, if one is attached.
+    core_wakes: OnceCell<Rc<WakeSet>>,
 }
 
 impl GlockRegisters {
@@ -34,7 +46,25 @@ impl GlockRegisters {
             lock_req: (0..n_cores).map(|_| Cell::new(false)).collect(),
             lock_rel: (0..n_cores).map(|_| Cell::new(false)).collect(),
             holder: Cell::new(None),
+            hot_leaves: WakeSet::new(n_cores),
+            core_wakes: OnceCell::new(),
         })
+    }
+
+    /// Wake cores in `wakes` whenever the controller resets a register
+    /// they may be spinning on. Attached once, before the run.
+    pub(crate) fn attach_core_wakes(&self, wakes: &Rc<WakeSet>) {
+        assert!(self.core_wakes.set(Rc::clone(wakes)).is_ok(), "core wake set attached twice");
+    }
+
+    fn wake_core(&self, core: usize) {
+        if let Some(w) = self.core_wakes.get() {
+            w.insert(core);
+        }
+    }
+
+    pub(crate) fn hot_leaves(&self) -> &WakeSet {
+        &self.hot_leaves
     }
 
     pub fn n_cores(&self) -> usize {
@@ -44,6 +74,7 @@ impl GlockRegisters {
     /// Core side: request the lock (`mov 1, lock_req`).
     pub fn set_req(&self, core: usize) {
         self.lock_req[core].set(true);
+        self.hot_leaves.insert(core);
     }
 
     /// Core side: busy-wait test (`bnz lock_req, loop`).
@@ -54,6 +85,7 @@ impl GlockRegisters {
     /// Core side: release the lock (`mov 1, lock_rel`).
     pub fn set_rel(&self, core: usize) {
         self.lock_rel[core].set(true);
+        self.hot_leaves.insert(core);
     }
 
     /// Core side: is a release still being processed?
@@ -80,10 +112,12 @@ impl GlockRegisters {
         }
     }
 
-    /// Controller side: the grant — resets `lock_req`.
+    /// Controller side: the grant — resets `lock_req` and wakes the
+    /// spinning core.
     pub(crate) fn grant(&self, core: usize) {
         self.lock_req[core].set(false);
         self.holder.set(Some(core));
+        self.wake_core(core);
     }
 
     /// Controller side: consume a pending release, if any.
@@ -107,7 +141,8 @@ impl GlockRegisters {
     /// no releases, no holder). Only valid while the network is dead and
     /// drained — every core-side script must already have observed the
     /// death and failed over, or a cleared `lock_req` could be mistaken
-    /// for a grant.
+    /// for a grant. Every core is woken: any that still spun here now
+    /// sees its request gone.
     pub(crate) fn reset(&self) {
         for c in &self.lock_req {
             c.set(false);
@@ -116,6 +151,9 @@ impl GlockRegisters {
             c.set(false);
         }
         self.holder.set(None);
+        if let Some(w) = self.core_wakes.get() {
+            w.insert_all();
+        }
     }
 
     pub fn save_state(&self, w: &mut SnapWriter) {
@@ -186,6 +224,21 @@ mod tests {
         assert!(r.take_rel(1));
         assert_eq!(r.hw_holder(), None);
         assert!(r.hw_drained());
+    }
+
+    #[test]
+    fn writes_mark_controllers_and_resets_wake_cores() {
+        let r = GlockRegisters::new(3);
+        let wakes = Rc::new(WakeSet::new(3));
+        r.attach_core_wakes(&wakes);
+        r.set_req(1);
+        r.set_rel(2);
+        assert_eq!(r.hot_leaves().iter().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(wakes.iter().next(), None, "core-side writes wake no core");
+        r.grant(1);
+        assert_eq!(wakes.iter().collect::<Vec<_>>(), [1], "the grant wakes its spinner");
+        r.reset();
+        assert_eq!(wakes.iter().count(), 3, "a reboot wakes every core");
     }
 
     #[test]

@@ -148,16 +148,16 @@ impl Wires {
         self.in_flight.push(InFlight { deliver_at, dst, sig, child_index, epoch });
     }
 
-    /// Pop all signals due at `now` (in send order).
+    /// Pop all signals due at `now` (in send order), in one pass that
+    /// keeps the rest in send order too.
     pub fn deliver_due(&mut self, now: Cycle, out: &mut Vec<InFlight>) {
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].deliver_at <= now {
-                out.push(self.in_flight.remove(i));
-            } else {
-                i += 1;
+        self.in_flight.retain(|s| {
+            let due = s.deliver_at <= now;
+            if due {
+                out.push(*s);
             }
-        }
+            !due
+        });
     }
 
     /// Total signal transmissions so far (energy-model input; dropped
@@ -309,6 +309,49 @@ mod tests {
         assert_eq!(w.signals_sent(), 3, "lost sends still drove the wire");
         assert_eq!(w.signals_dropped(), 2);
         assert!(w.is_idle());
+    }
+
+    /// Signals due in the same cycle come out in the order they went onto
+    /// the wires, even when delays and trailing duplicates make later
+    /// sends overtake earlier ones.
+    #[test]
+    fn same_cycle_deliveries_keep_send_order_under_delay_and_duplicates() {
+        let mut plan = FaultPlan::seeded(21);
+        plan.gline = FaultRates {
+            drop_ppm: 0,
+            delay_ppm: 300_000,
+            max_delay: 3,
+            duplicate_ppm: 300_000,
+        };
+        let mut w = Wires::new();
+        w.set_faults(plan.injector(FaultSite::Gline, 0));
+        // Every transmission as it was pushed, tagged by its epoch.
+        let mut pushed: Vec<(Cycle, u64)> = Vec::new();
+        let mut delivered: Vec<(Cycle, u64)> = Vec::new();
+        let mut epoch = 0;
+        let mut got = Vec::new();
+        for now in 0..220 {
+            got.clear();
+            w.deliver_due(now, &mut got);
+            for s in &got {
+                assert_eq!(s.deliver_at, now, "drained every cycle: nothing is overdue");
+                delivered.push((s.deliver_at, s.epoch));
+            }
+            // Sends stop early enough for the last copies to land.
+            for _ in 0..if now < 200 { now % 4 } else { 0 } {
+                epoch += 1;
+                let before = w.in_flight.len();
+                w.send(now, 1 + now % 2, Endpoint::Arb(0), Sig::Rel, 0, epoch);
+                pushed.extend(w.in_flight[before..].iter().map(|s| (s.deliver_at, s.epoch)));
+            }
+        }
+        assert!(w.is_idle());
+        let stats = w.fault_stats().unwrap();
+        assert!(stats.delayed > 0 && stats.duplicated > 0, "both faults exercised");
+        // Send order within each delivery cycle = a stable sort of the
+        // push sequence by arrival cycle.
+        pushed.sort_by_key(|&(at, _)| at);
+        assert_eq!(delivered, pushed);
     }
 
     #[test]

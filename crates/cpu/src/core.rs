@@ -84,6 +84,11 @@ pub struct Core {
     /// structured diagnosis (failover applies to lock networks, not to the
     /// computation a dead tile was carrying).
     halt_at: Option<Cycle>,
+    /// Parked in a register-poll spin since this cycle (see
+    /// [`Core::park`]): the runner stops ticking the core and owes it the
+    /// poll charges of every cycle from here until [`Core::unpark`].
+    /// Derived host state, never serialized.
+    parked_from: Option<Cycle>,
 }
 
 impl Core {
@@ -101,6 +106,7 @@ impl Core {
             finished_at: None,
             progress_events: 0,
             halt_at: None,
+            parked_from: None,
         }
     }
 
@@ -118,6 +124,7 @@ impl Core {
         self.id
     }
 
+    #[inline]
     pub fn is_finished(&self) -> bool {
         matches!(self.state, State::Finished)
     }
@@ -164,6 +171,7 @@ impl Core {
     /// and lock/barrier sub-scripts completed. A core livelocked in a spin
     /// loop retires instructions but never bumps this, which is exactly
     /// what the runner's watchdog needs to see.
+    #[inline]
     pub fn progress_events(&self) -> u64 {
         self.progress_events
     }
@@ -190,6 +198,7 @@ impl Core {
     /// it will wake at. The runner's watchdog treats a fully-sleeping
     /// machine as healthy (progress resumes at the earliest wake), unlike a
     /// spinning or wedged one.
+    #[inline]
     pub fn sleeping_until(&self, now: Cycle) -> Option<Cycle> {
         match self.state {
             State::WaitingUntil(t) if t > now => Some(t),
@@ -216,6 +225,7 @@ impl Core {
     /// this fails with [`SnapError::Unsupported`] unless every piece has
     /// opted into checkpointing.
     pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        debug_assert!(self.parked_from.is_none(), "core {}: saved while parked", self.id);
         w.mark("core");
         match self.state {
             State::Ready => w.u8(0),
@@ -303,6 +313,7 @@ impl Core {
         self.finished_at = r.opt_u64()?;
         self.progress_events = r.u64()?;
         self.halt_at = r.opt_u64()?;
+        self.parked_from = None;
         Ok(())
     }
 
@@ -360,11 +371,13 @@ impl Core {
         }
         if matches!(self.state, State::Ready) {
             // Only reachable for a declared register-poll spin (see
-            // `next_event`): each skipped cycle retires exactly the one
+            // `next_event`) or a core being unparked (whose spin may have
+            // just ended): each skipped cycle retires exactly the one
             // poll instruction and charges the same category the dense
             // loop would have.
             debug_assert!(
-                self.sub.as_ref().is_some_and(|s| s.script.idle_spin()),
+                self.parked_from.is_some()
+                    || self.sub.as_ref().is_some_and(|s| s.script.idle_spin()),
                 "core {}: skipped while hot",
                 self.id
             );
@@ -388,6 +401,39 @@ impl Core {
                 self.state = State::Ready;
             }
         }
+    }
+
+    /// Park this core after its tick of cycle `now` if it sits in a
+    /// declared register-poll spin ([`Script::idle_spin`]) and has no
+    /// scheduled halt. Returns whether it parked.
+    ///
+    /// Until the device that owns the polled register wakes it, every
+    /// dense tick would retire one poll and charge one cycle, nothing
+    /// else; [`Core::unpark`] charges those cycles in one batch. Only a
+    /// device can end such a spin, so a core woken right after the device
+    /// phase of cycle `c` and charged through `c` is in exactly the state
+    /// the dense loop would tick at `c + 1`.
+    #[inline]
+    pub fn park(&mut self, now: Cycle) -> bool {
+        let spinning = matches!(self.state, State::Ready)
+            && self.halt_at.is_none()
+            && self.sub.as_ref().is_some_and(|s| s.script.idle_spin());
+        if spinning {
+            self.parked_from = Some(now + 1);
+        }
+        spinning
+    }
+
+    /// End a park: charge the poll cycles from the park up to (not
+    /// including) `until` with [`Core::skip_ahead`]. Returns whether the
+    /// core was parked; unparking an active core does nothing.
+    pub fn unpark(&mut self, until: Cycle) -> bool {
+        let Some(from) = self.parked_from else {
+            return false;
+        };
+        self.skip_ahead(from, until - from);
+        self.parked_from = None;
+        true
     }
 
     /// Advance this core by one cycle.

@@ -9,8 +9,8 @@ use crate::l1::{L1Cache, L1State};
 use crate::mplock::{MpFabric, MpManager, MANAGER_LATENCY, MAX_MP_LOCKS};
 use crate::msg::{MemOp, MemResult, MpLockMsg, SysMsg};
 use crate::store::WordStore;
-use glocks_noc::tileset::bits;
-use glocks_noc::{MeshNoc, Packet, TileSet, TrafficStats};
+use glocks_noc::{MeshNoc, Packet, TrafficStats};
+use glocks_sim_base::bitset::{bits, TileSet};
 use glocks_sim_base::fault::{FaultPlan, FaultSite};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{CmpConfig, CoreId, Cycle, LineAddr, TileId};

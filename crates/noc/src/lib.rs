@@ -15,10 +15,8 @@
 pub mod mesh;
 pub mod packet;
 pub mod router;
-pub mod tileset;
 pub mod traffic;
 
 pub use mesh::MeshNoc;
 pub use packet::{Packet, TrafficClass};
-pub use tileset::TileSet;
 pub use traffic::TrafficStats;

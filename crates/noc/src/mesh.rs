@@ -3,7 +3,7 @@
 
 use crate::packet::{Packet, TrafficClass};
 use crate::router::{Queued, Router, N_PORTS, P_EAST, P_LOCAL, P_NORTH, P_SOUTH, P_WEST};
-use crate::tileset::{bits, TileSet};
+use glocks_sim_base::bitset::{bits, TileSet};
 use crate::traffic::TrafficStats;
 use glocks_sim_base::fault::{FaultDecision, FaultInjector};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};

@@ -4,10 +4,12 @@
 //! the simulated machine: identifiers ([`ids`]), the 2D-mesh floor plan
 //! ([`geom`]), the architectural configuration of the simulated CMP
 //! ([`config`], reproducing Table II of the paper), fault plans
-//! ([`fault`]), the checkpoint codec ([`snap`]), a deterministic RNG
-//! ([`rng`]), plain-text table rendering used by the experiment harness
-//! ([`table`]) and the protocol trace ([`trace`]).
+//! ([`fault`]), the checkpoint codec ([`snap`]), index bitsets
+//! ([`bitset`]), a deterministic RNG ([`rng`]), plain-text table rendering
+//! used by the experiment harness ([`table`]) and the protocol trace
+//! ([`trace`]).
 
+pub mod bitset;
 pub mod config;
 pub mod fault;
 pub mod geom;

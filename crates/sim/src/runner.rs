@@ -7,6 +7,7 @@ use crate::report::{SimReport, TrafficSnapshot};
 use crate::snapshot::Snapshot;
 use glocks::{GBarrierNetwork, GlockNetwork, GlockPool, Topology};
 use glocks_cpu::{Backends, BarrierBackend, Core, LockBackend, LockTracker, Script, Workload};
+use glocks_sim_base::bitset::{bits, TileSet, WakeSet};
 use glocks_sim_base::fault::{FaultPlan, FaultSite, HardFaultTarget};
 use glocks_sim_base::snap::{
     Fingerprint, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION,
@@ -17,6 +18,7 @@ use glocks_locks::barrier::TreeBarrier;
 use glocks_locks::LockAlgorithm;
 use glocks_mem::MemorySystem;
 use glocks_sim_base::{Addr, CmpConfig, CoreId, Cycle, LockId, TileId};
+use std::rc::Rc;
 use std::time::Instant;
 
 /// A barrier backend that gives each consecutive core group its own
@@ -222,6 +224,19 @@ pub struct Simulation {
     options: SimulationOptions,
     mem: MemorySystem,
     cores: Vec<Core>,
+    /// Cores [`Simulation::step`] ticks: neither finished nor parked. A
+    /// core parks after a tick that leaves it in a register-poll spin and
+    /// rejoins when a device marks it in `core_wakes`. Derived state.
+    active: TileSet,
+    /// Cores a device may have released from a register spin this cycle:
+    /// marked by a GLock grant, a repair's register reset, a death
+    /// verdict and a GBarrier release; drained after the device phase.
+    core_wakes: Rc<WakeSet>,
+    n_parked: usize,
+    n_finished: usize,
+    /// Sum of every core's `progress_events`, kept up to date from the
+    /// cores that tick (parked cores make no progress).
+    progress_sum: u64,
     locks: Vec<Box<dyn LockBackend>>,
     barrier: Box<dyn BarrierBackend>,
     tracker: LockTracker,
@@ -410,6 +425,10 @@ impl Simulation {
                 algo.make_backend(base, cfg.num_cores, regs, mp)
             })
             .collect();
+        let core_wakes = Rc::new(WakeSet::new(cfg.num_cores));
+        for net in &glock_nets {
+            net.attach_core_wakes(&core_wakes);
+        }
         let mut gbarrier = None;
         let barrier: Box<dyn BarrierBackend> = match (&options.barrier_partitions, options.hardware_barrier) {
             (Some(_), true) => panic!("hardware barrier cannot be partitioned"),
@@ -420,6 +439,7 @@ impl Simulation {
             )),
             (None, true) => {
                 let net = GBarrierNetwork::new(&topo, cfg.glocks.gline_latency);
+                net.attach_core_wakes(&core_wakes);
                 let backend = glocks_locks::gbarrier_backend::GBarrierBackend::new(net.regs());
                 gbarrier = Some(net);
                 Box::new(backend)
@@ -443,11 +463,16 @@ impl Simulation {
             .checker
             .map(|c| ProtocolChecker::new(c, n_locks, cfg.num_cores));
         let fingerprint = config_fingerprint(cfg, mapping, &options);
-        Simulation {
+        let mut sim = Simulation {
             cfg: *cfg,
             options,
             mem,
             cores,
+            active: TileSet::new(cfg.num_cores),
+            core_wakes,
+            n_parked: 0,
+            n_finished: 0,
+            progress_sum: 0,
             locks,
             barrier,
             tracker,
@@ -464,7 +489,9 @@ impl Simulation {
             started: Instant::now(),
             skip_cooldown: 0,
             skip_penalty: 0,
-        }
+        };
+        sim.rebuild_core_sets();
+        sim
     }
 
     /// Rebuild the machine from `cfg`/`mapping`/`workloads`/`options`
@@ -503,6 +530,12 @@ impl Simulation {
         self.fingerprint
     }
 
+    /// Cores currently parked in a register-poll spin (event-driven runs
+    /// only; see [`Core::park`]).
+    pub fn parked_cores(&self) -> usize {
+        self.n_parked
+    }
+
     /// Advance every non-core device (memory system, GLock networks,
     /// hardware barrier) by the current cycle — shared between the main
     /// loop and the post-run drain.
@@ -521,8 +554,69 @@ impl Simulation {
         }
     }
 
-    /// Capture the full diagnostic picture for a [`SimError`].
-    fn snapshot(&self) -> Box<DiagnosticSnapshot> {
+    /// Wake the cores marked in `core_wakes`: charge each parked one its
+    /// polls through the current cycle and put it back in the active set,
+    /// so it ticks next cycle. Every wake source is a device, and devices
+    /// tick after the cores, so a core woken here would have first seen
+    /// its register change at the next cycle's tick in the dense loop
+    /// too: the ascending tick order is unchanged. Spurious wakes are
+    /// harmless; the core re-parks after one poll.
+    fn wake_cores(&mut self) {
+        for w in 0..self.core_wakes.n_words() {
+            for i in bits(w, self.core_wakes.take_word(w)) {
+                if self.cores[i].unpark(self.now + 1) {
+                    self.active.insert(i);
+                    self.n_parked -= 1;
+                }
+            }
+        }
+    }
+
+    /// Unpark every parked core, charging its polls up to (not including)
+    /// `until`: the first cycle not yet executed. Parking is derived host
+    /// state, so it is settled before anything reads the cores' counters
+    /// or serializes them.
+    fn flush_parked(&mut self, until: Cycle) {
+        if self.n_parked == 0 {
+            return;
+        }
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            if core.unpark(until) {
+                self.active.insert(i);
+            }
+        }
+        self.n_parked = 0;
+    }
+
+    /// Whether every unfinished core is asleep in `Action::WaitUntil` past
+    /// `now`. A parked core is spinning, so it is awake; the scan over the
+    /// active cores stops at the first awake one.
+    fn all_asleep(&self, now: Cycle) -> bool {
+        self.n_parked == 0
+            && self.active.iter().all(|i| self.cores[i].sleeping_until(now).is_some())
+    }
+
+    /// Recompute the derived per-core bookkeeping from the cores
+    /// themselves (at construction and after a snapshot load).
+    fn rebuild_core_sets(&mut self) {
+        self.active.clear();
+        for (i, core) in self.cores.iter().enumerate() {
+            if !core.is_finished() {
+                self.active.insert(i);
+            }
+        }
+        for w in 0..self.core_wakes.n_words() {
+            self.core_wakes.take_word(w);
+        }
+        self.n_parked = 0;
+        self.n_finished = self.cores.iter().filter(|c| c.is_finished()).count();
+        self.progress_sum = self.cores.iter().map(Core::progress_events).sum();
+    }
+
+    /// Capture the full diagnostic picture for a [`SimError`], after
+    /// flushing parked cores up to `until` (the first cycle not executed).
+    fn snapshot(&mut self, until: Cycle) -> Box<DiagnosticSnapshot> {
+        self.flush_parked(until);
         let cores = self
             .cores
             .iter()
@@ -572,20 +666,33 @@ impl Simulation {
         // Already complete (e.g. resumed from a checkpoint taken at the
         // finish boundary): devices already ticked this cycle, so ticking
         // again would let the drain diverge from the uninterrupted run.
-        if self.cores.iter().all(Core::is_finished) {
+        if self.n_finished == self.cores.len() {
             return Ok(true);
         }
-        let mut all_done = true;
-        let mut progress_sum = 0u64;
+        // Parking belongs to the event-driven path: the dense loop stays
+        // the literal every-core-every-cycle oracle.
+        let park = self.options.idle_skip;
         {
             let backends = Backends { locks: &self.locks, barrier: self.barrier.as_ref() };
-            for core in &mut self.cores {
-                core.tick(self.now, &mut self.mem, &backends, &mut self.tracker);
-                all_done &= core.is_finished();
-                progress_sum += core.progress_events();
+            for w in 0..self.active.n_words() {
+                for i in bits(w, self.active.word(w)) {
+                    let core = &mut self.cores[i];
+                    let progress = core.progress_events();
+                    core.tick(self.now, &mut self.mem, &backends, &mut self.tracker);
+                    self.progress_sum += core.progress_events() - progress;
+                    if core.is_finished() {
+                        self.active.remove(i);
+                        self.n_finished += 1;
+                    } else if park && core.park(self.now) {
+                        self.active.remove(i);
+                        self.n_parked += 1;
+                    }
+                }
             }
         }
+        let all_done = self.n_finished == self.cores.len();
         self.tick_devices();
+        self.wake_cores();
         self.tracker.sample();
         if self.options.check_invariants_every > 0
             && self.now.is_multiple_of(self.options.check_invariants_every)
@@ -604,19 +711,15 @@ impl Simulation {
         if let Some(detail) = violation {
             return Err(SimError::InvariantViolation {
                 detail,
-                snapshot: self.snapshot(),
+                snapshot: self.snapshot(self.now + 1),
             });
         }
         if all_done {
             return Ok(true);
         }
-        if progress_sum > self.progress_mark.0 {
-            self.progress_mark = (progress_sum, self.now);
-        } else if self
-            .cores
-            .iter()
-            .all(|c| c.is_finished() || c.sleeping_until(self.now).is_some())
-        {
+        if self.progress_sum > self.progress_mark.0 {
+            self.progress_mark = (self.progress_sum, self.now);
+        } else if self.all_asleep(self.now) {
             // Open-loop lull: every unfinished core is deliberately asleep
             // waiting for its next arrival (`Action::WaitUntil`). Time
             // passing toward a known wake cycle is progress, not a wedge.
@@ -626,14 +729,14 @@ impl Simulation {
         {
             return Err(SimError::NoForwardProgress {
                 window: self.options.watchdog_cycles,
-                snapshot: self.snapshot(),
+                snapshot: self.snapshot(self.now + 1),
             });
         }
         self.now += 1;
         if self.now >= self.options.max_cycles {
             return Err(SimError::MaxCyclesExceeded {
                 limit: self.options.max_cycles,
-                snapshot: self.snapshot(),
+                snapshot: self.snapshot(self.now),
             });
         }
         // The wall-clock budget is sampled coarsely: `Instant::now` every
@@ -642,7 +745,7 @@ impl Simulation {
             if self.now & 0xFFF == 0 && self.started.elapsed().as_millis() as u64 >= limit_ms {
                 return Err(SimError::WallClockExceeded {
                     limit_ms,
-                    snapshot: self.snapshot(),
+                    snapshot: self.snapshot(self.now),
                 });
             }
         }
@@ -700,8 +803,10 @@ impl Simulation {
                 }
             };
         }
-        for core in &self.cores {
-            fold!(core.next_event(now));
+        // Parked cores report no wake of their own (the device that owns
+        // the polled register does), so only the active ones are asked.
+        for i in self.active.iter() {
+            fold!(self.cores[i].next_event(now));
         }
         fold!(self.mem.next_event(now));
         for net in &self.glock_nets {
@@ -728,10 +833,7 @@ impl Simulation {
             // appended inside device ticks on sample cycles.
             target = target.min(sample_at);
         }
-        let all_sleeping = self
-            .cores
-            .iter()
-            .all(|c| c.is_finished() || c.sleeping_until(now).is_some());
+        let all_sleeping = self.all_asleep(now);
         if !all_sleeping && self.options.watchdog_cycles > 0 {
             // Land densely on the watchdog's deadline so NoForwardProgress
             // surfaces at the identical cycle it would under the dense
@@ -753,9 +855,10 @@ impl Simulation {
         // Replicate the `k` skipped cycles' observable effects in O(1):
         // per-core activity charges (and compute countdowns), and one grAC
         // sample per cycle. Nothing else mutates on an inert cycle — that
-        // is the quiescence contract each `next_event` implements.
-        for core in &mut self.cores {
-            core.skip_ahead(now, k);
+        // is the quiescence contract each `next_event` implements. Parked
+        // cores are charged when they unpark.
+        for i in self.active.iter() {
+            self.cores[i].skip_ahead(now, k);
         }
         self.tracker.sample_n(k);
         if all_sleeping {
@@ -772,7 +875,7 @@ impl Simulation {
             {
                 return Err(SimError::WallClockExceeded {
                     limit_ms,
-                    snapshot: self.snapshot(),
+                    snapshot: self.snapshot(self.now),
                 });
             }
         }
@@ -805,7 +908,7 @@ impl Simulation {
                     Err(e) => {
                         return Err(SimError::CheckpointFailed {
                             detail: e.to_string(),
-                            snapshot: self.snapshot(),
+                            snapshot: self.snapshot(self.now),
                         })
                     }
                 }
@@ -819,7 +922,10 @@ impl Simulation {
     /// subsystem in a fixed walk order. Fails with
     /// [`SnapError::Unsupported`] if any component (an exotic workload, a
     /// backend without snapshot support) has not opted into checkpointing.
-    pub fn checkpoint(&self) -> Result<Snapshot, SnapError> {
+    /// Parked cores are unparked first (their owed poll charges are part
+    /// of the image); the trajectory is unchanged.
+    pub fn checkpoint(&mut self) -> Result<Snapshot, SnapError> {
+        self.flush_parked(self.now);
         let mut w = SnapWriter::new();
         w.u32(SNAP_MAGIC);
         w.u32(SNAP_VERSION);
@@ -936,6 +1042,7 @@ impl Simulation {
         }
         self.now = snapshot.cycle();
         self.progress_mark = progress_mark;
+        self.rebuild_core_sets();
         Ok(())
     }
 
@@ -943,6 +1050,7 @@ impl Simulation {
     /// assemble the report. Call after [`Simulation::step`] returned
     /// `Ok(true)`.
     pub fn finish(mut self) -> Result<(SimReport, MemorySystem), SimError> {
+        self.flush_parked(self.now);
         let finish_at = self.now;
         // Drain in-flight writebacks so the traffic/energy totals settle.
         // The G-line networks only tick while they report pending work, so
@@ -972,19 +1080,20 @@ impl Simulation {
             }
         }
         if !self.mem.is_quiescent() {
-            return Err(SimError::DrainStalled { waited: drain, snapshot: self.snapshot() });
+            let snapshot = self.snapshot(self.now);
+            return Err(SimError::DrainStalled { waited: drain, snapshot });
         }
         if !self.tracker.all_quiet() {
             return Err(SimError::ResidualLockState {
                 detail: "locks still held after the run".into(),
-                snapshot: self.snapshot(),
+                snapshot: self.snapshot(self.now),
             });
         }
         if let Some(p) = &self.pool {
             if !p.is_quiescent() {
                 return Err(SimError::ResidualLockState {
                     detail: "dynamic GLock bindings leaked".into(),
-                    snapshot: self.snapshot(),
+                    snapshot: self.snapshot(self.now),
                 });
             }
         }

@@ -190,6 +190,37 @@ fn glock_resume_is_byte_identical() {
     assert_equivalent(s, 1_000);
 }
 
+/// The checkpoint lands while at least 8 cores are parked on their
+/// `lock_req` spin. Parking is derived host state: the checkpoint charges
+/// the parked cores their polls, and the resumed machine (which starts
+/// with every core active) must finish byte-identically.
+#[test]
+fn resume_with_parked_spinners_is_byte_identical() {
+    let s =
+        Scenario { algo: LockAlgorithm::Glock, cores: 16, iters: 4, faults: false, checker: false };
+    let (ref_json, ref_counter) = baseline(s);
+    glocks_stats::enable(glocks_stats::StatsConfig::default());
+    let mut sim = build(s);
+    while sim.parked_cores() < 8 {
+        assert!(!sim.step_fast(0).expect("healthy run"), "finished before 8 cores parked");
+    }
+    // Land a few cycles into the parked span, off the cycle they parked.
+    for _ in 0..3 {
+        assert!(!sim.step().expect("healthy run"));
+    }
+    assert!(sim.parked_cores() >= 8, "checkpoint must be taken with cores parked");
+    let bytes = sim.checkpoint().expect("snapshot").into_bytes();
+    assert_eq!(sim.parked_cores(), 0, "the checkpoint unparks every core");
+    drop(sim);
+    glocks_stats::disable();
+
+    let snap = Snapshot::from_bytes(bytes).expect("snapshot survives its byte round-trip");
+    glocks_stats::enable(glocks_stats::StatsConfig::default());
+    let (got_json, got_counter) = finish_with_stats(resume(s, &snap));
+    assert_eq!(got_counter, ref_counter, "memory image diverged");
+    assert_eq!(got_json, ref_json, "stats dump not byte-identical after resume");
+}
+
 #[test]
 fn dynamic_glock_resume_is_byte_identical() {
     let s = Scenario {

@@ -20,24 +20,36 @@ use std::path::Path;
 
 fn sim_for(kind: BenchKind, algo: LockAlgorithm, threads: usize, options: SimulationOptions) -> SimReport {
     let bench = BenchConfig::smoke(kind, threads);
-    let inst = bench.build();
-    let cfg = CmpConfig::paper_baseline().with_cores(threads);
     let mapping = LockMapping::hybrid(&bench.hc_locks(), algo, bench.n_locks());
-    let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, options);
+    sim_mapped(&bench, &mapping, options)
+}
+
+fn sim_mapped(bench: &BenchConfig, mapping: &LockMapping, options: SimulationOptions) -> SimReport {
+    let inst = bench.build();
+    let cfg = CmpConfig::paper_baseline().with_cores(bench.threads);
+    let sim = Simulation::new(&cfg, mapping, inst.workloads, &inst.init, options);
     let (report, mem) = sim.run().expect("simulation wedged");
     (inst.verify)(mem.store()).expect("verify");
     report
 }
 
-/// Run with a fresh stats session and return the dump's JSON text.
-fn dump_json(options: SimulationOptions) -> String {
+/// Run `bench` under `mapping` with a fresh stats session and return the
+/// dump's JSON text.
+fn dump_mapped(bench: &BenchConfig, mapping: &LockMapping, options: SimulationOptions) -> String {
     gstats::enable(gstats::StatsConfig::default());
-    let report = sim_for(BenchKind::Sctr, LockAlgorithm::Glock, 8, options);
+    let report = sim_mapped(bench, mapping, options);
     gstats::disable();
     report
         .stats
         .expect("stats session active, snapshot attached")
         .to_json()
+}
+
+/// SCTR on GLock at 8 cores, dumped.
+fn dump_json(options: SimulationOptions) -> String {
+    let bench = BenchConfig::smoke(BenchKind::Sctr, 8);
+    let mapping = LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Glock, bench.n_locks());
+    dump_mapped(&bench, &mapping, options)
 }
 
 #[test]
@@ -147,6 +159,48 @@ fn event_driven_and_dense_loops_agree_under_intermittent_faults() {
         dump.counters.get("sim.failbacks").copied().unwrap_or(0) > 0,
         "the repaired network must actually be re-armed"
     );
+}
+
+/// The event-driven loop parks cores spinning on a G-line register and
+/// ticks them again only when a device marks them: a GLock grant, a
+/// repair's register reset, a death verdict, a GBarrier release. A missed
+/// wake would leave a core parked past the cycle its spin ended, so each
+/// wake source must keep the dump byte-identical to the dense loop, which
+/// never parks.
+#[test]
+fn event_driven_and_dense_loops_agree_with_parked_spinners() {
+    let glock = |bench: &BenchConfig| {
+        LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Glock, bench.n_locks())
+    };
+    let pool = |bench: &BenchConfig| LockMapping::uniform(LockAlgorithm::DynamicGlock, bench.n_locks());
+    let all_nets_die = |n_nets: usize| {
+        let mut plan = FaultPlan::seeded(0xFA03);
+        plan.kill_all_glock_networks(n_nets, 2_000, 6_000);
+        SimulationOptions { fault_plan: Some(plan), watchdog_cycles: 500_000, ..Default::default() }
+    };
+    let n_hw = CmpConfig::paper_baseline().glocks.num_hw_locks;
+    let sctr64 = BenchConfig::smoke(BenchKind::Sctr, 64);
+    let sctr8 = BenchConfig::smoke(BenchKind::Sctr, 8);
+    let ocean = BenchConfig::smoke(BenchKind::Ocean, 16);
+    let actr = BenchConfig::smoke(BenchKind::Actr, 8);
+    let cases = [
+        ("GLock SCTR on an 8x8 mesh (grants)", &sctr64, glock(&sctr64), SimulationOptions::default()),
+        (
+            "G-line barrier on OCEAN (barrier releases)",
+            &ocean,
+            glock(&ocean),
+            SimulationOptions { hardware_barrier: true, ..Default::default() },
+        ),
+        ("dynamic GLock pool on ACTR (pool grants)", &actr, pool(&actr), SimulationOptions::default()),
+        ("failover with every net killed (death verdicts)", &sctr8, glock(&sctr8), all_nets_die(1)),
+        ("dynamic pool with every net killed", &actr, pool(&actr), all_nets_die(n_hw)),
+    ];
+    for (name, bench, mapping, options) in cases {
+        let dense = SimulationOptions { idle_skip: false, ..options.clone() };
+        let skip = dump_mapped(bench, &mapping, options);
+        let dense = dump_mapped(bench, &mapping, dense);
+        assert!(skip == dense, "{name}: parking changed an observable, dumps differ");
+    }
 }
 
 #[test]
