@@ -4,10 +4,10 @@
 use crate::breakdown::{Breakdown, Category};
 use crate::program::{Action, BarrierBackend, LockBackend, Script, Step, Workload};
 use crate::tracker::LockTracker;
-use glocks_mem::MemorySystem;
+use glocks_mem::{MemOp, MemorySystem};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::trace::TraceMask;
-use glocks_sim_base::{trace_event, CoreId, Cycle, LockId, ThreadId};
+use glocks_sim_base::{trace_event, Addr, CoreId, Cycle, LockId, ThreadId};
 
 /// Lock and barrier implementations available to the cores.
 pub struct Backends<'a> {
@@ -84,11 +84,15 @@ pub struct Core {
     /// structured diagnosis (failover applies to lock networks, not to the
     /// computation a dead tile was carrying).
     halt_at: Option<Cycle>,
-    /// Parked in a register-poll spin since this cycle (see
-    /// [`Core::park`]): the runner stops ticking the core and owes it the
-    /// poll charges of every cycle from here until [`Core::unpark`].
-    /// Derived host state, never serialized.
-    parked_from: Option<Cycle>,
+    /// The memory op this core last submitted is a declared L1-hit poll
+    /// of this address ([`Script::load_spin`]), recorded at pull time so
+    /// [`Core::park`] needs no script call. Host state, never serialized.
+    poll: Option<Addr>,
+    /// Parked in a spin since the first cycle here, re-issuing one poll
+    /// every second field's cycles (see [`Core::park`]): the runner stops
+    /// ticking the core and owes it the charges of every cycle from here
+    /// until [`Core::unpark`]. Derived host state, never serialized.
+    parked: Option<(Cycle, u64)>,
 }
 
 impl Core {
@@ -106,7 +110,8 @@ impl Core {
             finished_at: None,
             progress_events: 0,
             halt_at: None,
-            parked_from: None,
+            poll: None,
+            parked: None,
         }
     }
 
@@ -225,7 +230,7 @@ impl Core {
     /// this fails with [`SnapError::Unsupported`] unless every piece has
     /// opted into checkpointing.
     pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        debug_assert!(self.parked_from.is_none(), "core {}: saved while parked", self.id);
+        debug_assert!(self.parked.is_none(), "core {}: saved while parked", self.id);
         w.mark("core");
         match self.state {
             State::Ready => w.u8(0),
@@ -313,7 +318,8 @@ impl Core {
         self.finished_at = r.opt_u64()?;
         self.progress_events = r.u64()?;
         self.halt_at = r.opt_u64()?;
-        self.parked_from = None;
+        self.poll = None;
+        self.parked = None;
         Ok(())
     }
 
@@ -371,13 +377,11 @@ impl Core {
         }
         if matches!(self.state, State::Ready) {
             // Only reachable for a declared register-poll spin (see
-            // `next_event`) or a core being unparked (whose spin may have
-            // just ended): each skipped cycle retires exactly the one
+            // `next_event`): each skipped cycle retires exactly the one
             // poll instruction and charges the same category the dense
             // loop would have.
             debug_assert!(
-                self.parked_from.is_some()
-                    || self.sub.as_ref().is_some_and(|s| s.script.idle_spin()),
+                self.sub.as_ref().is_some_and(|s| s.script.idle_spin()),
                 "core {}: skipped while hot",
                 self.id
             );
@@ -404,35 +408,64 @@ impl Core {
     }
 
     /// Park this core after its tick of cycle `now` if it sits in a
-    /// declared register-poll spin ([`Script::idle_spin`]) and has no
-    /// scheduled halt. Returns whether it parked.
+    /// declared spin and has no scheduled halt. Returns whether it parked.
     ///
-    /// Until the device that owns the polled register wakes it, every
-    /// dense tick would retire one poll and charge one cycle, nothing
-    /// else; [`Core::unpark`] charges those cycles in one batch. Only a
-    /// device can end such a spin, so a core woken right after the device
-    /// phase of cycle `c` and charged through `c` is in exactly the state
-    /// the dense loop would tick at `c + 1`.
+    /// Two spins park:
+    /// * a register poll ([`Script::idle_spin`]): every dense tick would
+    ///   retire one poll and charge one cycle. Only a device can end it,
+    ///   so a core woken right after the device phase of cycle `c` and
+    ///   charged through `c` is in exactly the state the dense loop would
+    ///   tick at `c + 1`;
+    /// * an L1-hit poll ([`Script::load_spin`]) just submitted, if `mem`
+    ///   accepts to park its L1 with it ([`MemorySystem::park_poll`]):
+    ///   every dense tick charges one cycle and one per poll period takes
+    ///   the unchanged value and re-issues the poll. The L1 wakes
+    ///   the core when a coherence message reaches it.
+    ///
+    /// [`Core::unpark`] charges the owed cycles in one batch.
     #[inline]
-    pub fn park(&mut self, now: Cycle) -> bool {
-        let spinning = matches!(self.state, State::Ready)
-            && self.halt_at.is_none()
-            && self.sub.as_ref().is_some_and(|s| s.script.idle_spin());
-        if spinning {
-            self.parked_from = Some(now + 1);
-        }
-        spinning
+    pub fn park(&mut self, now: Cycle, mem: &mut MemorySystem) -> bool {
+        // Called after every tick of an event-driven run, so a core that
+        // is not spinning must get out in one branch.
+        let period = match self.state {
+            State::Ready => {
+                if self.halt_at.is_some() || !self.sub.as_ref().is_some_and(|s| s.script.idle_spin())
+                {
+                    return false;
+                }
+                1
+            }
+            State::WaitingMem if self.poll.is_some() => match self.park_poll(now, mem) {
+                Some(period) => period,
+                None => return false,
+            },
+            _ => return false,
+        };
+        self.parked = Some((now + 1, period));
+        true
     }
 
-    /// End a park: charge the poll cycles from the park up to (not
-    /// including) `until` with [`Core::skip_ahead`]. Returns whether the
+    /// The L1-hit half of [`Core::park`]: the poll just submitted, offered
+    /// to the memory system once. Returns the poll period if it parked.
+    #[cold]
+    fn park_poll(&mut self, now: Cycle, mem: &mut MemorySystem) -> Option<u64> {
+        let a = self.poll.take()?;
+        if self.halt_at.is_some() {
+            return None;
+        }
+        mem.park_poll(self.id, a, self.last_value, now)
+    }
+
+    /// End a park: charge the cycles from the park up to (not including)
+    /// `until`, one instruction per re-issued poll. Returns whether the
     /// core was parked; unparking an active core does nothing.
     pub fn unpark(&mut self, until: Cycle) -> bool {
-        let Some(from) = self.parked_from else {
+        let Some((from, period)) = self.parked.take() else {
             return false;
         };
-        self.skip_ahead(from, until - from);
-        self.parked_from = None;
+        let k = until - from;
+        self.breakdown.instructions += k / period;
+        self.breakdown.charge(self.category(), k);
         true
     }
 
@@ -491,8 +524,12 @@ impl Core {
     ) {
         // A zero-cycle-step cap: catches scripts that never make progress.
         for _ in 0..10_000 {
+            let mut poll = None;
             let step = if let Some(sub) = self.sub.as_mut() {
                 let s = sub.script.resume(self.last_value);
+                if let Step::Mem(MemOp::Load(a)) = s {
+                    poll = sub.script.load_spin(self.last_value).filter(|&p| p == a);
+                }
                 if let Step::Done = s {
                     self.progress_events += 1;
                     if let SubKind::Acquire(l) = sub.kind {
@@ -576,6 +613,7 @@ impl Core {
                 }
                 Step::Mem(op) => {
                     self.breakdown.instructions += 1;
+                    self.poll = poll;
                     mem.submit(self.id, op, now);
                     self.state = State::WaitingMem;
                     return;
@@ -594,8 +632,7 @@ impl Core {
 mod tests {
     use super::*;
     use crate::program::FixedScript;
-    use glocks_mem::MemOp;
-    use glocks_sim_base::{Addr, CmpConfig};
+    use glocks_sim_base::CmpConfig;
 
     /// A scripted workload from a fixed action list.
     struct Scripted {

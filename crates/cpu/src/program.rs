@@ -2,7 +2,7 @@
 
 use glocks_mem::MemOp;
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Cycle, LockId, ThreadId};
+use glocks_sim_base::{Addr, Cycle, LockId, ThreadId};
 
 /// What a workload thread asks its core to do next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,6 +66,18 @@ pub trait Script {
     /// always safe.
     fn idle_spin(&self) -> bool {
         false
+    }
+
+    /// Whether this script is an *L1-hit poll spin* on `last`: `Some(a)`
+    /// iff `resume(last)` would return `Step::Mem(MemOp::Load(a))` and
+    /// leave the script in the same position. Until the value at `a`
+    /// changes, every poll returns `last` again, so a runner whose L1 still
+    /// holds the line may replay those polls in bulk and wake the core
+    /// when a coherence message reaches that L1 (any write to the line
+    /// must first invalidate or forward the poller's copy). The default
+    /// (`None`) keeps a script hot, which is always safe.
+    fn load_spin(&self, _last: u64) -> Option<Addr> {
+        None
     }
 
     /// Serialize this script's resumable position for a checkpoint. The

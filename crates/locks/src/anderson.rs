@@ -93,6 +93,10 @@ impl Script for AndersonAcquire {
         }
     }
 
+    fn load_spin(&self, last: u64) -> Option<Addr> {
+        (matches!(self.state, AcqState::Spinning) && last < self.needed).then_some(self.spin_addr)
+    }
+
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.u8(match self.state {
             AcqState::TakeIndex => 0,

@@ -199,6 +199,13 @@ impl Script for TreeWait {
         }
     }
 
+    fn load_spin(&self, last: u64) -> Option<Addr> {
+        match self.phase {
+            Phase::Spinning(node) if last < self.episode => Some(release_addr(self.base, node)),
+            _ => None,
+        }
+    }
+
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.u64(self.episode);
         w.usize(self.level);

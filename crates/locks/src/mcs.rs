@@ -95,6 +95,12 @@ impl Script for McsAcquire {
         }
     }
 
+    // `Linked` is not a spin: its load is issued with `last = 0`, and
+    // `Spinning` resumed with 0 finishes.
+    fn load_spin(&self, last: u64) -> Option<Addr> {
+        (matches!(self.state, AcqState::Spinning) && last != 0).then_some(self.my_locked)
+    }
+
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         match self.state {
             AcqState::ClearNext => w.u8(0),
@@ -183,6 +189,10 @@ impl Script for McsRelease {
                 RelState::Finished => return Step::Done,
             }
         }
+    }
+
+    fn load_spin(&self, last: u64) -> Option<Addr> {
+        (matches!(self.state, RelState::WaitLink) && last == 0).then_some(self.my_next)
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

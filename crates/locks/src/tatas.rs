@@ -99,6 +99,10 @@ impl Script for TatasAcquire {
         }
     }
 
+    fn load_spin(&self, last: u64) -> Option<Addr> {
+        (matches!(self.state, AcqState::Tested) && last != 0).then_some(self.flag)
+    }
+
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.u8(match self.state {
             AcqState::Try => 0,

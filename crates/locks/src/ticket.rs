@@ -65,6 +65,11 @@ impl Script for TicketAcquire {
         }
     }
 
+    fn load_spin(&self, last: u64) -> Option<Addr> {
+        let spinning = matches!(self.state, AcqState::Spinning) && last != self.mine.get();
+        spinning.then_some(self.serving)
+    }
+
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.u8(match self.state {
             AcqState::TakeTicket => 0,

@@ -59,6 +59,20 @@ impl<S> CacheArray<S> {
         })
     }
 
+    /// Replay `n` [`CacheArray::lookup`]s of a resident `line` in O(1):
+    /// the clock advances by `n` and the line takes the last stamp.
+    pub fn touch_n(&mut self, line: LineAddr, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.clock += n;
+        let clock = self.clock;
+        let idx = self.set_index(line);
+        let set = &mut self.sets[idx];
+        let way = set.iter_mut().find(|w| w.line == line).expect("touched line is resident");
+        way.stamp = clock;
+    }
+
     /// Insert a line (must not already be present), evicting the LRU way if
     /// the set is full. Returns the evicted `(line, state)` if any.
     pub fn insert(&mut self, line: LineAddr, state: S) -> Option<(LineAddr, S)> {
@@ -172,6 +186,27 @@ mod tests {
         assert_eq!(ev, Some((LineAddr(4), 2)));
         assert!(a.peek(LineAddr(0)).is_some());
         assert!(a.peek(LineAddr(8)).is_some());
+    }
+
+    #[test]
+    fn touch_n_equals_n_lookups() {
+        let mut a = arr();
+        let mut b = arr();
+        for x in [&mut a, &mut b] {
+            x.insert(LineAddr(0), 1);
+            x.insert(LineAddr(4), 2);
+        }
+        for _ in 0..5 {
+            a.lookup(LineAddr(0));
+        }
+        b.touch_n(LineAddr(0), 5);
+        b.touch_n(LineAddr(4), 0);
+        let bytes = |x: &CacheArray<u32>| {
+            let mut w = SnapWriter::new();
+            x.save_state(&mut w, &mut |w, &s| w.u32(s));
+            w.into_bytes()
+        };
+        assert_eq!(bytes(&a), bytes(&b));
     }
 
     #[test]

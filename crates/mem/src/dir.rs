@@ -653,10 +653,13 @@ impl Directory {
                     let e = self.entry(line);
                     e.busy.as_mut().expect("busy").phase = Phase::AwaitAcks { acks_left: n };
                     self.counters.inv_sent += u64::from(n);
-                    for c in 0..128u32 {
-                        if invs & (1u128 << c) != 0 {
-                            self.send(CoherenceMsg::Inv { line }, CoreId(c as u16), now, net);
-                        }
+                    // Set bits only, ascending: the send order of a full
+                    // scan.
+                    let mut left = invs;
+                    while left != 0 {
+                        let c = left.trailing_zeros();
+                        left &= left - 1;
+                        self.send(CoherenceMsg::Inv { line }, CoreId(c as u16), now, net);
                     }
                 }
             }

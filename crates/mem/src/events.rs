@@ -64,6 +64,12 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Advance the sequence counter by `n`, as if `n` events had been
+    /// scheduled and popped (replaying them in O(1)).
+    pub fn skip_seqs(&mut self, n: u64) {
+        self.next_seq += n;
+    }
+
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

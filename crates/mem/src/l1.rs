@@ -14,7 +14,7 @@ use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::trace::TraceMask;
-use glocks_sim_base::{trace_event, CmpConfig, CoreId, Cycle, LineAddr, TileId};
+use glocks_sim_base::{trace_event, Addr, CmpConfig, CoreId, Cycle, LineAddr, TileId};
 
 /// MESI state of a resident L1 line (absent = Invalid).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,6 +73,10 @@ pub struct L1Cache {
     submitted_at: Option<Cycle>,
     /// `mem.l1.t{N}.miss_latency` (free `NONE` id when stats are off).
     miss_hist: glocks_stats::HistId,
+    /// Parked in an L1-hit poll spin (see [`L1Cache::park`]) whose first
+    /// poll was submitted at this cycle and reads this value. Derived
+    /// host state, never serialized.
+    spin: Option<(Cycle, u64)>,
     l1_latency: u64,
     line_bytes: u64,
     num_tiles: usize,
@@ -92,6 +96,7 @@ impl L1Cache {
             counters: L1Counters::default(),
             submitted_at: None,
             miss_hist: glocks_stats::hist(&format!("mem.l1.t{}.miss_latency", core.0)),
+            spin: None,
             l1_latency: cfg.l1.total_latency(),
             line_bytes: cfg.line_bytes,
             num_tiles: cfg.num_cores,
@@ -128,6 +133,89 @@ impl L1Cache {
         self.counters.access += 1;
         self.submitted_at = Some(now);
         self.events.schedule(now + self.l1_latency, L1Event::Access(op));
+    }
+
+    /// The cycles between two polls of a core spinning on L1 hits: the
+    /// access takes the L1 latency, and the core takes the result and
+    /// re-issues the poll on the next cycle.
+    pub fn poll_period(&self) -> u64 {
+        self.l1_latency + 1
+    }
+
+    /// Park this L1 with its core after the core submitted, at `now`, a
+    /// load that polls `a` for `value`, the word's current value.
+    /// Accepted only if the line is resident and not being written back,
+    /// no miss is pending, no result is waiting, and the access just
+    /// scheduled is the only event. Then every poll hits and returns
+    /// `value` until a coherence message reaches this L1: any write to
+    /// the line must first invalidate or forward this copy. The access
+    /// event stays queued, so [`L1Cache::busy`] reads as in the dense
+    /// loop; [`L1Cache::unpark`] replays the polls.
+    pub fn park(&mut self, a: Addr, now: Cycle, value: u64) -> bool {
+        debug_assert!(self.spin.is_none(), "core {}: parked twice", self.core);
+        let line = a.line(self.line_bytes);
+        let ok = self.events.len() == 1
+            && self.submitted_at == Some(now)
+            && self.pending.is_none()
+            && self.done.is_none()
+            && self.array.peek(line).is_some()
+            && !self.wb.contains(&line);
+        if ok {
+            self.spin = Some((now, value));
+        }
+        ok
+    }
+
+    /// Whether this L1 is parked with its core.
+    #[inline]
+    pub fn is_parked(&self) -> bool {
+        self.spin.is_some()
+    }
+
+    /// End a park: replay, in O(1), the polls the core submitted before
+    /// cycle `core_until` (one every [`L1Cache::poll_period`] cycles from
+    /// the parked one) and the accesses this L1 would have completed
+    /// before cycle `l1_until`. A message delivered mid-cycle settles with
+    /// `l1_until = core_until - 1` (cores tick before the memory system),
+    /// a cycle boundary with both equal. Returns whether it was parked.
+    #[inline]
+    pub fn unpark(&mut self, core_until: Cycle, l1_until: Cycle) -> bool {
+        match self.spin.take() {
+            Some((from, value)) => {
+                self.replay(from, value, core_until, l1_until);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The O(1) replay of [`L1Cache::unpark`] for a park whose first poll
+    /// was submitted at `from` and reads `value`.
+    #[cold]
+    fn replay(&mut self, from: Cycle, value: u64, core_until: Cycle, l1_until: Cycle) {
+        let p = self.poll_period();
+        let resubmits = (core_until - 1 - from) / p;
+        let last = from + resubmits * p;
+        let last_done = last + self.l1_latency < l1_until;
+        let hits = resubmits + u64::from(last_done);
+        if hits == 0 {
+            return;
+        }
+        self.counters.access += resubmits;
+        self.counters.hit += hits;
+        let (_, ev) = self.events.pop_due(Cycle::MAX).expect("parked access");
+        let L1Event::Access(op) = ev;
+        self.array.touch_n(op.addr().line(self.line_bytes), hits);
+        if last_done {
+            self.events.skip_seqs(resubmits);
+            self.submitted_at = None;
+            let finished_at = last + self.l1_latency;
+            self.done = Some(MemResult { op, value, finished_at, l1_hit: true });
+        } else {
+            self.events.skip_seqs(resubmits - 1);
+            self.submitted_at = Some(last);
+            self.events.schedule(last + self.l1_latency, L1Event::Access(op));
+        }
     }
 
     /// Retrieve the completion of the last submitted operation, if ready.
@@ -393,6 +481,7 @@ impl L1Cache {
     }
 
     pub fn save_state(&self, w: &mut SnapWriter) {
+        debug_assert!(self.spin.is_none(), "core {}: L1 saved while parked", self.core);
         w.mark("l1");
         self.array.save_state(w, &mut |w, &s| s.save_state(w));
         match &self.pending {
@@ -437,6 +526,7 @@ impl L1Cache {
         self.done = if r.bool()? { Some(MemResult::load_state(r)?) } else { None };
         self.counters.load_state(r)?;
         self.submitted_at = r.opt_u64()?;
+        self.spin = None;
         Ok(())
     }
 

@@ -4,16 +4,17 @@
 //! operation, tick the world, poll for the completion.
 
 use crate::counters::{DirCounters, L1Counters};
-use crate::dir::{DirState, Directory};
+use crate::dir::{DirState, Directory, SharerMask};
 use crate::l1::{L1Cache, L1State};
 use crate::mplock::{MpFabric, MpManager, MANAGER_LATENCY, MAX_MP_LOCKS};
-use crate::msg::{MemOp, MemResult, MpLockMsg, SysMsg};
+use crate::msg::{CoherenceMsg, MemOp, MemResult, MpLockMsg, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet, TrafficStats};
-use glocks_sim_base::bitset::{bits, TileSet};
+use glocks_sim_base::bitset::{bits, TileSet, WakeSet};
 use glocks_sim_base::fault::{FaultPlan, FaultSite};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{CmpConfig, CoreId, Cycle, LineAddr, TileId};
+use glocks_sim_base::{Addr, CmpConfig, CoreId, Cycle, LineAddr, TileId};
+use std::rc::Rc;
 
 /// A point-in-time picture of what the memory system is doing — part of
 /// the runner's diagnostic snapshot when a run wedges.
@@ -51,11 +52,15 @@ pub struct MemorySystem {
     ctrl_bytes: u32,
     n_tiles: usize,
     /// Controllers with a scheduled event, the only ones `tick` visits:
-    /// L1s by core, directories and MP-Lock managers by tile. Derived
-    /// from the controllers' event queues, so snapshots do not carry them.
+    /// L1s by core (less the parked ones, see [`MemorySystem::park_poll`]),
+    /// directories and MP-Lock managers by tile. Derived from the
+    /// controllers' event queues, so snapshots do not carry them.
     l1_work: TileSet,
     dir_work: TileSet,
     mp_work: TileSet,
+    /// The runner's wake set for parked cores, if one is attached: a
+    /// coherence message reaching a parked L1 marks its core.
+    core_wakes: Option<Rc<WakeSet>>,
 }
 
 impl MemorySystem {
@@ -79,6 +84,59 @@ impl MemorySystem {
             l1_work: TileSet::new(cfg.num_cores),
             dir_work: TileSet::new(mesh.len()),
             mp_work: TileSet::new(mesh.len()),
+            core_wakes: None,
+        }
+    }
+
+    /// Wake cores in `wakes` when a coherence message reaches the L1 they
+    /// are parked with. Attached once, before the run; without it no poll
+    /// parks.
+    pub fn attach_core_wakes(&mut self, wakes: &Rc<WakeSet>) {
+        assert!(self.core_wakes.is_none(), "core wake set attached twice");
+        self.core_wakes = Some(Rc::clone(wakes));
+    }
+
+    /// Park `core`'s L1 with the core, which just submitted (at `now`) a
+    /// load of `a` polling for `last` ([`L1Cache::park`] lists what the
+    /// L1 must satisfy). Returns the cycles between two polls if parked.
+    ///
+    /// While the word still holds `last`, every poll hits and returns it
+    /// until a coherence message reaches this L1: the only code that
+    /// writes the functional store is an L1 commit, and a write to the
+    /// line must first invalidate or forward the poller's copy. That needs
+    /// the directory to name every sharer, so machines wider than its
+    /// sharer mask never park. The parked L1 leaves `l1_work` but keeps
+    /// its access event, so [`MemorySystem::is_quiescent`],
+    /// [`MemorySystem::diag`] and the invariant scans read as in the dense
+    /// loop; delivery ([`MemorySystem::tick`]) and
+    /// [`MemorySystem::unpark_polls`] replay the polls.
+    pub fn park_poll(&mut self, core: CoreId, a: Addr, last: u64, now: Cycle) -> Option<u64> {
+        let c = core.index();
+        let parks = self.core_wakes.is_some()
+            && self.l1s.len() <= SharerMask::BITS as usize
+            && self.store.load(a) == last
+            && self.l1s[c].park(a, now, last);
+        if !parks {
+            return None;
+        }
+        self.l1_work.remove(c);
+        Some(self.l1s[c].poll_period())
+    }
+
+    /// Settle `core`'s L1, if parked, at the cycle boundary `until` (the
+    /// first cycle not executed): replay its polls and put it back in the
+    /// work set. The runner calls this for a core woken by another source.
+    pub fn unpark_poll(&mut self, core: CoreId, until: Cycle) {
+        let l1 = &mut self.l1s[core.index()];
+        if l1.unpark(until, until) && l1.has_events() {
+            self.l1_work.insert(core.index());
+        }
+    }
+
+    /// [`MemorySystem::unpark_poll`] for every core.
+    pub fn unpark_polls(&mut self, until: Cycle) {
+        for c in 0..self.l1s.len() {
+            self.unpark_poll(CoreId(c as u16), until);
         }
     }
 
@@ -201,6 +259,8 @@ impl MemorySystem {
                     if msg.to_directory() {
                         self.dirs[t].handle_msg(msg, now, &mut self.store, &mut self.net);
                         self.dir_work.insert(t);
+                    } else if self.l1s[t].is_parked() {
+                        self.deliver_to_parked(t, msg, now);
                     } else {
                         self.l1s[t].handle_msg(msg, now, &mut self.store, &mut self.net);
                     }
@@ -217,6 +277,24 @@ impl MemorySystem {
                     self.mp_work.insert(t);
                 }
             }
+        }
+    }
+
+    /// Hand `msg` to L1 `t`, which is parked with its core. It first
+    /// replays the polls its core submitted through this cycle and the
+    /// accesses it completed before it (the dense loop ticks cores, then
+    /// delivers, then ticks L1s), then handles the message, then wakes
+    /// the core.
+    #[cold]
+    fn deliver_to_parked(&mut self, t: usize, msg: CoherenceMsg, now: Cycle) {
+        let l1 = &mut self.l1s[t];
+        l1.unpark(now + 1, now);
+        l1.handle_msg(msg, now, &mut self.store, &mut self.net);
+        if l1.has_events() {
+            self.l1_work.insert(t);
+        }
+        if let Some(w) = &self.core_wakes {
+            w.insert(t);
         }
     }
 
@@ -532,7 +610,6 @@ impl MemorySystem {
 mod tests {
     use super::*;
     use crate::msg::RmwKind;
-    use glocks_sim_base::Addr;
 
     fn system() -> MemorySystem {
         MemorySystem::new(&CmpConfig::paper_baseline())
@@ -668,6 +745,136 @@ mod tests {
         }
         assert!(busy_cycles > 1_000, "directories must actually have work");
         assert!(restored_once, "a snapshot must catch both sets non-empty");
+    }
+
+    /// What [`spin_run`] observed.
+    struct SpinRun {
+        /// The poller's L1 bytes after every cycle it was not parked.
+        l1_bytes: Vec<(Cycle, Vec<u8>)>,
+        /// Every result the poller took, with the cycle it took it.
+        results: Vec<(Cycle, MemResult)>,
+        /// The whole system's bytes once quiescent.
+        end: Vec<u8>,
+        parked_cycles: u64,
+    }
+
+    fn l1_bytes(sys: &MemorySystem, core: CoreId) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        sys.l1s[core.index()].save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Core 1 spins on L1-hit loads of a word holding 7 (shared with core
+    /// 2) until core 2's store of 9 at `write_at` ends the spin, driven as
+    /// the runner drives cores: take a result, re-issue the poll the same
+    /// cycle, then tick. With `park`, each poll offers to park; the park
+    /// ends at the boundary `flush_at` or when the write's invalidation
+    /// reaches the parked L1.
+    fn spin_run(l1_latency: u64, park: bool, write_at: Cycle, flush_at: Option<Cycle>) -> SpinRun {
+        const POLLER: CoreId = CoreId(1);
+        const WRITER: CoreId = CoreId(2);
+        let mut cfg = CmpConfig::paper_baseline().with_cores(4);
+        cfg.l1.latency = l1_latency;
+        cfg.l1.extra_data_latency = 0;
+        let mut sys = MemorySystem::new(&cfg);
+        let wakes = Rc::new(WakeSet::new(4));
+        if park {
+            sys.attach_core_wakes(&wakes);
+        }
+        let a = Addr(0xB000);
+        run_op(&mut sys, WRITER, MemOp::Store(a, 7), 0);
+        run_op(&mut sys, POLLER, MemOp::Load(a), 10_000);
+        assert_eq!(sys.l1s[POLLER.index()].state_of(a.line(64)), Some(L1State::Shared));
+        let start = 20_000;
+        let mut run = SpinRun { l1_bytes: Vec::new(), results: Vec::new(), end: Vec::new(), parked_cycles: 0 };
+        let mut polling = true;
+        let mut parked = false;
+        for now in start..start + 5_000 {
+            if polling && !parked {
+                let last = if now == start {
+                    Some(7)
+                } else {
+                    let r = sys.take_result(POLLER);
+                    run.results.extend(r.map(|r| (now, r)));
+                    r.map(|r| r.value)
+                };
+                match last {
+                    Some(7) => {
+                        sys.submit(POLLER, MemOp::Load(a), now);
+                        parked = park && sys.park_poll(POLLER, a, 7, now).is_some();
+                    }
+                    Some(_) => polling = false,
+                    None => {}
+                }
+            }
+            if now == write_at {
+                sys.submit(WRITER, MemOp::Store(a, 9), now);
+            }
+            sys.take_result(WRITER);
+            sys.tick(now);
+            if parked {
+                run.parked_cycles += 1;
+                parked = wakes.take_word(0) & (1 << POLLER.0) == 0;
+            }
+            if flush_at == Some(now + 1) {
+                sys.unpark_polls(now + 1);
+                parked = false;
+            }
+            if !parked {
+                run.l1_bytes.push((now, l1_bytes(&sys, POLLER)));
+            }
+            if !polling && sys.is_quiescent() {
+                let mut w = SnapWriter::new();
+                sys.save_state(&mut w);
+                run.end = w.into_bytes();
+                return run;
+            }
+        }
+        panic!("the spin never ended");
+    }
+
+    /// A parked L1 poll spin replays to exactly the state of a reference
+    /// that submits and ticks every cycle: per-cycle L1 bytes, the results
+    /// the poller takes and the final system bytes agree, for L1
+    /// latencies 1, 2 and 4, settled by a delivered invalidation or a
+    /// cycle-boundary flush at every offset across three poll periods.
+    #[test]
+    fn parked_polls_replay_to_the_dense_state() {
+        for l1_latency in [1, 2, 4] {
+            let period = l1_latency + 1;
+            for offset in 0..3 * period + 1 {
+                let start = 20_000;
+                for (write_at, flush_at) in
+                    [(start + offset, None), (start + 200, Some(start + 1 + offset))]
+                {
+                    let dense = spin_run(l1_latency, false, write_at, flush_at);
+                    let parked = spin_run(l1_latency, true, write_at, flush_at);
+                    let case = format!("latency {l1_latency}, write at {write_at}, flush at {flush_at:?}");
+                    assert!(parked.parked_cycles > 0, "{case}: never parked");
+                    assert_eq!(dense.parked_cycles, 0, "{case}");
+                    let reference: std::collections::BTreeMap<_, _> =
+                        dense.l1_bytes.into_iter().collect();
+                    for (now, bytes) in &parked.l1_bytes {
+                        assert!(reference[now] == *bytes, "{case}: L1 differs after cycle {now}");
+                    }
+                    // A parked poller takes no results; every one it takes
+                    // awake, the spin-ending one included, matches.
+                    let taken: std::collections::BTreeMap<_, _> =
+                        dense.results.iter().copied().collect();
+                    for (now, r) in &parked.results {
+                        assert_eq!(taken.get(now), Some(r), "{case}: result taken at {now} differs");
+                    }
+                    assert_eq!(parked.results.last(), dense.results.last(), "{case}");
+                    assert!(parked.end == dense.end, "{case}: final system state differs");
+                    if let Some(f) = flush_at {
+                        assert!(
+                            parked.l1_bytes.iter().any(|&(now, _)| now + 1 == f),
+                            "{case}: flush point not compared"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -225,12 +225,14 @@ pub struct Simulation {
     mem: MemorySystem,
     cores: Vec<Core>,
     /// Cores [`Simulation::step`] ticks: neither finished nor parked. A
-    /// core parks after a tick that leaves it in a register-poll spin and
-    /// rejoins when a device marks it in `core_wakes`. Derived state.
+    /// core parks after a tick that leaves it in a register-poll spin or
+    /// an L1-hit poll spin, and rejoins when a device marks it in
+    /// `core_wakes`. Derived state.
     active: TileSet,
-    /// Cores a device may have released from a register spin this cycle:
-    /// marked by a GLock grant, a repair's register reset, a death
-    /// verdict and a GBarrier release; drained after the device phase.
+    /// Cores a device may have released from a spin this cycle: marked by
+    /// a GLock grant, a repair's register reset, a death verdict, a
+    /// GBarrier release and a coherence message reaching a parked L1;
+    /// drained after the device phase.
     core_wakes: Rc<WakeSet>,
     n_parked: usize,
     n_finished: usize,
@@ -426,6 +428,7 @@ impl Simulation {
             })
             .collect();
         let core_wakes = Rc::new(WakeSet::new(cfg.num_cores));
+        mem.attach_core_wakes(&core_wakes);
         for net in &glock_nets {
             net.attach_core_wakes(&core_wakes);
         }
@@ -530,8 +533,8 @@ impl Simulation {
         self.fingerprint
     }
 
-    /// Cores currently parked in a register-poll spin (event-driven runs
-    /// only; see [`Core::park`]).
+    /// Cores currently parked in a register-poll or L1-hit poll spin
+    /// (event-driven runs only; see [`Core::park`]).
     pub fn parked_cores(&self) -> usize {
         self.n_parked
     }
@@ -560,11 +563,13 @@ impl Simulation {
     /// tick after the cores, so a core woken here would have first seen
     /// its register change at the next cycle's tick in the dense loop
     /// too: the ascending tick order is unchanged. Spurious wakes are
-    /// harmless; the core re-parks after one poll.
+    /// harmless; the core re-parks after one poll. A core parked with its
+    /// L1 takes the L1 along, whichever device woke it.
     fn wake_cores(&mut self) {
         for w in 0..self.core_wakes.n_words() {
             for i in bits(w, self.core_wakes.take_word(w)) {
                 if self.cores[i].unpark(self.now + 1) {
+                    self.mem.unpark_poll(CoreId(i as u16), self.now + 1);
                     self.active.insert(i);
                     self.n_parked -= 1;
                 }
@@ -572,10 +577,10 @@ impl Simulation {
         }
     }
 
-    /// Unpark every parked core, charging its polls up to (not including)
-    /// `until`: the first cycle not yet executed. Parking is derived host
-    /// state, so it is settled before anything reads the cores' counters
-    /// or serializes them.
+    /// Unpark every parked core, and every L1 parked with one, charging
+    /// its polls up to (not including) `until`: the first cycle not yet
+    /// executed. Parking is derived host state, so it is settled before
+    /// anything reads the cores' or L1s' counters or serializes them.
     fn flush_parked(&mut self, until: Cycle) {
         if self.n_parked == 0 {
             return;
@@ -585,6 +590,7 @@ impl Simulation {
                 self.active.insert(i);
             }
         }
+        self.mem.unpark_polls(until);
         self.n_parked = 0;
     }
 
@@ -683,7 +689,7 @@ impl Simulation {
                     if core.is_finished() {
                         self.active.remove(i);
                         self.n_finished += 1;
-                    } else if park && core.park(self.now) {
+                    } else if park && core.park(self.now, &mut self.mem) {
                         self.active.remove(i);
                         self.n_parked += 1;
                     }
@@ -803,8 +809,10 @@ impl Simulation {
                 }
             };
         }
-        // Parked cores report no wake of their own (the device that owns
-        // the polled register does), so only the active ones are asked.
+        // Parked cores report no wake of their own (the device that ends
+        // the spin does: the net owning the polled register, or the memory
+        // system, hot while a parked L1 keeps its access), so only the
+        // active ones are asked.
         for i in self.active.iter() {
             fold!(self.cores[i].next_event(now));
         }

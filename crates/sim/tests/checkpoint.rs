@@ -93,12 +93,16 @@ fn options(s: Scenario) -> SimulationOptions {
 }
 
 fn build(s: Scenario) -> Simulation {
+    build_with(s, options(s))
+}
+
+fn build_with(s: Scenario, options: SimulationOptions) -> Simulation {
     let cfg = CmpConfig::paper_baseline().with_cores(s.cores);
     let mapping = LockMapping::uniform(s.algo, 1);
     let workloads = (0..s.cores)
         .map(|_| Box::new(Counter { iters: s.iters, phase: 0, seen: 0 }) as Box<dyn Workload>)
         .collect();
-    Simulation::new(&cfg, &mapping, workloads, &[], options(s))
+    Simulation::new(&cfg, &mapping, workloads, &[], options)
 }
 
 fn resume(s: Scenario, snap: &Snapshot) -> Simulation {
@@ -190,14 +194,12 @@ fn glock_resume_is_byte_identical() {
     assert_equivalent(s, 1_000);
 }
 
-/// The checkpoint lands while at least 8 cores are parked on their
-/// `lock_req` spin. Parking is derived host state: the checkpoint charges
-/// the parked cores their polls, and the resumed machine (which starts
-/// with every core active) must finish byte-identically.
-#[test]
-fn resume_with_parked_spinners_is_byte_identical() {
-    let s =
-        Scenario { algo: LockAlgorithm::Glock, cores: 16, iters: 4, faults: false, checker: false };
+/// Checkpoint `s` while at least 8 cores are parked. Parking is derived
+/// host state: the checkpoint charges the parked cores their polls and
+/// settles the L1s parked with them, so its bytes must equal those of a
+/// dense run checkpointed at the same cycle, and the resumed machine
+/// (which starts with every core active) must finish byte-identically.
+fn assert_resume_with_parked_spinners_is_byte_identical(s: Scenario) {
     let (ref_json, ref_counter) = baseline(s);
     glocks_stats::enable(glocks_stats::StatsConfig::default());
     let mut sim = build(s);
@@ -211,14 +213,41 @@ fn resume_with_parked_spinners_is_byte_identical() {
     assert!(sim.parked_cores() >= 8, "checkpoint must be taken with cores parked");
     let bytes = sim.checkpoint().expect("snapshot").into_bytes();
     assert_eq!(sim.parked_cores(), 0, "the checkpoint unparks every core");
+    let at = sim.now();
     drop(sim);
     glocks_stats::disable();
+
+    glocks_stats::enable(glocks_stats::StatsConfig::default());
+    let mut dense = build_with(s, SimulationOptions { idle_skip: false, ..options(s) });
+    while dense.now() < at {
+        assert!(!dense.step().expect("healthy run"));
+    }
+    let dense_bytes = dense.checkpoint().expect("snapshot").into_bytes();
+    drop(dense);
+    glocks_stats::disable();
+    assert!(bytes == dense_bytes, "settled checkpoint differs from the dense loop's at cycle {at}");
 
     let snap = Snapshot::from_bytes(bytes).expect("snapshot survives its byte round-trip");
     glocks_stats::enable(glocks_stats::StatsConfig::default());
     let (got_json, got_counter) = finish_with_stats(resume(s, &snap));
     assert_eq!(got_counter, ref_counter, "memory image diverged");
     assert_eq!(got_json, ref_json, "stats dump not byte-identical after resume");
+}
+
+/// Cores parked on their `lock_req` register spin.
+#[test]
+fn resume_with_parked_spinners_is_byte_identical() {
+    let s =
+        Scenario { algo: LockAlgorithm::Glock, cores: 16, iters: 4, faults: false, checker: false };
+    assert_resume_with_parked_spinners_is_byte_identical(s);
+}
+
+/// MCS waiters parked with their L1s in L1-hit polls of their own
+/// `locked` flag.
+#[test]
+fn resume_with_parked_l1_spinners_is_byte_identical() {
+    let s = Scenario { algo: LockAlgorithm::Mcs, cores: 16, iters: 4, faults: false, checker: false };
+    assert_resume_with_parked_spinners_is_byte_identical(s);
 }
 
 #[test]

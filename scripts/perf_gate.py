@@ -12,14 +12,16 @@ Two independent gates, both of which must pass:
     every cycle and the ratio collapses to ~1x.  Comparing two phases of
     one run cancels out runner speed, so this gate cannot be fooled by a
     fast machine.
-  * absolute floors: `total_cycles_per_sec` and the saturated phase's
+  * absolute floors: `total_cycles_per_sec` and each saturated phase's
     tile-cycles/s (cycles/s times the tiles of its `..._<N>t` label)
     must each clear a floor set far below any healthy run.  They guard
     against pathological slowdowns the ratio cannot see, e.g. a
     regression that slows *every* phase.  Tile-cycles/s is the busy
     path's cost unit: a saturated cycle's work grows with the number of
     tiles that have work, so it ports across phase sizes better than raw
-    cycles/s.
+    cycles/s.  Two saturated phases are gated: GLock (`busy_phase`, whose
+    waiters spin on G-line registers) and MCS (`mcs_busy_phase`, whose
+    waiters spin on L1 hits and hand off through coherence traffic).
 
 With --append, the run's headline numbers are also appended as one JSON
 line to a trajectory file (JSONL), which CI uploads as an artifact so the
@@ -57,6 +59,7 @@ def main() -> int:
     try:
         idle = phases[base["idle_phase"]]
         busy = phases[base["busy_phase"]]
+        mcs_busy = phases[base["mcs_busy_phase"]]
     except KeyError as missing:
         print(f"perf gate: phase {missing} not in {args.bench}", file=sys.stderr)
         print(f"  phases present: {sorted(phases)}", file=sys.stderr)
@@ -64,14 +67,17 @@ def main() -> int:
 
     ratio = idle / busy if busy > 0 else float("inf")
     busy_tiles = busy * phase_tiles(base["busy_phase"])
+    mcs_busy_tiles = mcs_busy * phase_tiles(base["mcs_busy_phase"])
+    saturated = [
+        (base["busy_phase"], busy, busy_tiles, base["min_busy_tile_cycles_per_sec"]),
+        (base["mcs_busy_phase"], mcs_busy, mcs_busy_tiles, base["min_mcs_busy_tile_cycles_per_sec"]),
+    ]
     total = bench["total_cycles_per_sec"]
     print(f"total            {total:>12.0f} cycles/s (floor {base['min_total_cycles_per_sec']})")
     print(f"idle-heavy phase {idle:>12.0f} cycles/s ({base['idle_phase']})")
-    print(f"saturated phase  {busy:>12.0f} cycles/s ({base['busy_phase']})")
-    print(
-        f"saturated phase  {busy_tiles:>12.0f} tile-cycles/s "
-        f"(floor {base['min_busy_tile_cycles_per_sec']})"
-    )
+    for label, rate, tiles, floor in saturated:
+        print(f"saturated phase  {rate:>12.0f} cycles/s ({label})")
+        print(f"saturated phase  {tiles:>12.0f} tile-cycles/s (floor {floor})")
     print(f"idle/busy ratio  {ratio:>12.2f} (floor {base['min_idle_over_busy']})")
 
     ok = True
@@ -89,13 +95,14 @@ def main() -> int:
             file=sys.stderr,
         )
         ok = False
-    if busy_tiles < base["min_busy_tile_cycles_per_sec"]:
-        print(
-            f"FAIL: saturated phase {busy_tiles:.0f} tile-cycles/s below floor "
-            f"{base['min_busy_tile_cycles_per_sec']} — the busy path has regressed",
-            file=sys.stderr,
-        )
-        ok = False
+    for label, _, tiles, floor in saturated:
+        if tiles < floor:
+            print(
+                f"FAIL: saturated phase {label} {tiles:.0f} tile-cycles/s below floor "
+                f"{floor} — the busy path has regressed",
+                file=sys.stderr,
+            )
+            ok = False
 
     if args.append:
         entry = {
@@ -104,6 +111,8 @@ def main() -> int:
             "idle_cycles_per_sec": round(idle),
             "busy_cycles_per_sec": round(busy),
             "busy_tile_cycles_per_sec": round(busy_tiles),
+            "mcs_busy_cycles_per_sec": round(mcs_busy),
+            "mcs_busy_tile_cycles_per_sec": round(mcs_busy_tiles),
             "idle_over_busy": round(ratio, 2),
             "total_sim_cycles": bench["total_sim_cycles"],
             "total_wall_s": round(bench["total_wall_s"], 3),
