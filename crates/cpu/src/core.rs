@@ -332,10 +332,13 @@ impl Core {
     /// the same breakdown category (replicated exactly by
     /// [`Core::skip_ahead`]) and, for `Computing`, decrement the counter —
     /// it pulls no step, touches no backend, and submits nothing to the
-    /// memory system. States whose wake depends on another component
-    /// (`Ready`, `WaitingMem`) report `Some(now)`, i.e. "hot, tick me
-    /// densely".
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+    /// memory system. A core waiting on memory acts only once its L1 holds
+    /// a result, so it is inert until then: the L1 completes an access
+    /// only on a cycle `mem`'s own exact horizon claims, and the core
+    /// takes the result on the cycle after. A `Ready` core that is not in
+    /// a declared register-poll spin reports `Some(now)`, i.e. "hot, tick
+    /// me densely".
+    pub fn next_event(&self, now: Cycle, mem: &MemorySystem) -> Option<Cycle> {
         if matches!(self.state, State::Finished) {
             return None;
         }
@@ -356,7 +359,11 @@ impl Core {
             }
             // Otherwise a pull could run scripts / submit memory ops —
             // unpredictable from here.
-            State::Ready | State::WaitingMem => Some(now),
+            State::Ready => Some(now),
+            State::WaitingMem if mem.has_result(self.id) => Some(now),
+            // Inert until the memory system delivers; the halt fence keeps
+            // a scheduled tile death observable.
+            State::WaitingMem => self.halt_at,
             // Wakes exactly when the countdown hits zero (or the tile
             // fault freezes it first — the fence keeps the halt cycle
             // observable for the watchdog).
@@ -369,8 +376,9 @@ impl Core {
     /// Replicate `k` dense [`Core::tick`] calls for cycles
     /// `now .. now + k`, valid only when the runner proved (via
     /// [`Core::next_event`] on the previous cycle) that none of those ticks
-    /// would pull a step. Charges the same category each skipped cycle and
-    /// advances a `Computing` countdown; everything else is untouched.
+    /// would pull a step or take a memory result. Charges the same category
+    /// each skipped cycle and advances a `Computing` countdown; everything
+    /// else is untouched.
     pub fn skip_ahead(&mut self, now: Cycle, k: u64) {
         if matches!(self.state, State::Finished) || self.is_halted_at(now) {
             return;
@@ -389,11 +397,6 @@ impl Core {
             self.breakdown.charge(self.category(), k);
             return;
         }
-        debug_assert!(
-            !matches!(self.state, State::WaitingMem),
-            "core {}: skipped while hot",
-            self.id
-        );
         if let State::WaitingUntil(t) = self.state {
             debug_assert!(now + k <= t, "core {}: skipped past its wake cycle", self.id);
         }

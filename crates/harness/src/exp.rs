@@ -210,7 +210,7 @@ impl StatsSession {
                 eprintln!("[harness] failed to write stats dump {path}: {e}");
             }
         }
-        self.watch.stop(report.cycles);
+        self.watch.stop(report.cycles, report.dense_cycles);
         glocks_stats::disable();
     }
 
@@ -218,7 +218,7 @@ impl StatsSession {
     /// phase is profiled as 0 simulated cycles so the sweep's BENCH file
     /// still accounts for the wall time spent.
     pub fn abort(self) {
-        self.watch.stop(0);
+        self.watch.stop(0, 0);
         glocks_stats::disable();
     }
 }

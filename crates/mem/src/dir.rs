@@ -310,6 +310,12 @@ impl Directory {
         !self.events.is_empty()
     }
 
+    /// The cycle of the earliest scheduled event, the only thing `tick`
+    /// acts on.
+    pub fn next_due(&self) -> Option<Cycle> {
+        self.events.next_due()
+    }
+
     /// True when no transaction or queued request exists anywhere.
     pub fn is_quiescent(&self) -> bool {
         self.events.is_empty()

@@ -122,6 +122,17 @@ impl L1Cache {
         !self.events.is_empty()
     }
 
+    /// The cycle of the earliest scheduled tag access, the only thing
+    /// `tick` acts on.
+    pub fn next_due(&self) -> Option<Cycle> {
+        self.events.next_due()
+    }
+
+    /// Whether a completed operation waits for its core to take it.
+    pub fn has_result(&self) -> bool {
+        self.done.is_some()
+    }
+
     pub fn counters(&self) -> &L1Counters {
         &self.counters
     }

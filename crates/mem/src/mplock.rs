@@ -80,6 +80,11 @@ impl MpFabric {
         }
     }
 
+    /// Memory-system side: whether an operation waits to be sent.
+    pub(crate) fn has_outgoing(&self) -> bool {
+        !self.outbox.borrow().is_empty()
+    }
+
     /// Memory-system side: pop the next outgoing operation.
     pub(crate) fn pop_outgoing(&self) -> Option<(CoreId, MpLockMsg)> {
         self.outbox.borrow_mut().pop_front()
@@ -199,6 +204,17 @@ impl MpManager {
     /// Drain decided grants.
     pub fn take_outgoing(&mut self, out: &mut Vec<(CoreId, MpLockMsg)>) {
         out.append(&mut self.outgoing);
+    }
+
+    /// The earliest cycle ≥ `now` at which the memory system's tick of
+    /// this manager does anything: `now` while decided grants wait to be
+    /// sent, else its earliest scheduled message.
+    pub fn next_due(&self, now: Cycle) -> Option<Cycle> {
+        if self.outgoing.is_empty() {
+            self.events.next_due()
+        } else {
+            Some(now)
+        }
     }
 
     /// No queued work (end-of-run check).

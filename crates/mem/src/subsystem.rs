@@ -106,7 +106,8 @@ impl MemorySystem {
     /// line must first invalidate or forward the poller's copy. That needs
     /// the directory to name every sharer, so machines wider than its
     /// sharer mask never park. The parked L1 leaves `l1_work` but keeps
-    /// its access event, so [`MemorySystem::is_quiescent`],
+    /// its access event (which [`MemorySystem::next_event`] leaves out),
+    /// so [`MemorySystem::is_quiescent`],
     /// [`MemorySystem::diag`] and the invariant scans read as in the dense
     /// loop; delivery ([`MemorySystem::tick`]) and
     /// [`MemorySystem::unpark_polls`] replay the polls.
@@ -378,20 +379,43 @@ impl MemorySystem {
             && self.mp_managers.iter().all(MpManager::is_quiescent)
     }
 
-    /// The earliest future cycle at which ticking the memory system could
-    /// change state, or `None` if it is quiescent with nothing scheduled.
+    /// The earliest cycle ≥ `now` at which ticking the memory system
+    /// changes its state, or `None` if nothing is in flight or scheduled.
     ///
-    /// The memory hierarchy is event-dense while anything is in flight
-    /// (router arbitration, delayed deliveries and controller event queues
-    /// interact cycle by cycle), so a non-quiescent system reports
-    /// `Some(now)` — "hot, tick me densely". A quiescent system only ever
-    /// wakes for a scheduled permanent router fault: the kill mutates the
-    /// fabric (the router dies in place) even with no packet anywhere.
+    /// The horizon is exact: the fabric's ([`MeshNoc::next_event`]: ready
+    /// heads meeting a free link, deliveries, router kills), folded with
+    /// each controller's earliest scheduled event and any MP-Lock message
+    /// waiting to be sent. `tick` acts on nothing else, so every cycle
+    /// before the horizon leaves the whole hierarchy untouched. Only the
+    /// active sets are visited. Parked L1s are left out: their polls are
+    /// replayed in O(1) when a delivery or the runner unparks them, so
+    /// their access events need no cycle of their own.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.is_quiescent() {
+        if self.mp_fabric.has_outgoing() {
             return Some(now);
         }
-        self.net.next_scheduled_kill(now)
+        let mut next = self.net.next_event(now).unwrap_or(Cycle::MAX);
+        if next == now {
+            return Some(now);
+        }
+        for c in self.l1_work.iter() {
+            let due = self.l1s[c].next_due();
+            next = next.min(due.expect("an L1 in the work set has an event"));
+        }
+        for t in self.dir_work.iter() {
+            let due = self.dirs[t].next_due();
+            next = next.min(due.expect("a directory in the work set has an event"));
+        }
+        for t in self.mp_work.iter() {
+            next = next.min(self.mp_managers[t].next_due(now).unwrap_or(Cycle::MAX));
+        }
+        (next != Cycle::MAX).then_some(next.max(now))
+    }
+
+    /// Whether `core`'s L1 holds a completed operation its core has not
+    /// taken yet: the only thing a core waiting on memory acts on.
+    pub fn has_result(&self, core: CoreId) -> bool {
+        self.l1s[core.index()].has_result()
     }
 
     /// Network traffic statistics (Figure 9's raw material).
@@ -875,6 +899,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn sys_bytes(sys: &MemorySystem) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        sys.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// `next_event` is the exact horizon of a tick: under seeded random
+    /// loads, stores and RMWs from every core of a 4×4 machine, over lines
+    /// that share, migrate and conflict in the L1 sets, each tick before
+    /// the horizon leaves the system's bytes unchanged and the tick at it
+    /// changes them.
+    #[test]
+    fn next_event_is_the_exact_horizon() {
+        const SUBMITS_UNTIL: Cycle = 4_000;
+        let mut sys = MemorySystem::new(&CmpConfig::paper_baseline().with_cores(16));
+        let mut rng = glocks_sim_base::SplitMix64::new(0x4E58_7E7E);
+        let (mut inert, mut acted) = (0, 0);
+        let mut now = 0;
+        while now < SUBMITS_UNTIL || !sys.is_quiescent() {
+            for c in 0..16u16 {
+                let core = CoreId(c);
+                sys.take_result(core);
+                if now < SUBMITS_UNTIL && sys.can_submit(core) && rng.next_below(40) == 0 {
+                    // Five lines per L1 set (stride 8 KiB) over four sets.
+                    let a = Addr(rng.next_below(5) * 8192 + rng.next_below(4) * 64);
+                    let op = match rng.next_below(3) {
+                        0 => MemOp::Load(a),
+                        1 => MemOp::Store(a, now),
+                        _ => MemOp::Rmw(a, RmwKind::FetchAdd(1)),
+                    };
+                    sys.submit(core, op, now);
+                }
+            }
+            let horizon = sys.next_event(now);
+            let before = sys_bytes(&sys);
+            sys.tick(now);
+            let changed = sys_bytes(&sys) != before;
+            match horizon {
+                Some(h) if h == now => {
+                    assert!(changed, "cycle {now}: the horizon cycle did nothing");
+                    acted += 1;
+                }
+                Some(h) => {
+                    assert!(h > now, "cycle {now}: horizon {h} lies in the past");
+                    assert!(!changed, "cycle {now}: acted before the horizon {h}");
+                    inert += 1;
+                }
+                None => {
+                    assert!(!changed, "cycle {now}: acted with no horizon");
+                    inert += 1;
+                }
+            }
+            now += 1;
+        }
+        assert_eq!(sys.next_event(now), None, "a quiescent system has no horizon");
+        let (l1, dir) = sys.counter_totals();
+        assert!(l1.miss > 100 && dir.inv_sent > 10, "coherence traffic must flow");
+        assert!(acted > 1_000 && inert > 500, "acted {acted}, inert {inert}");
+    }
+
+    /// A parked L1's queued access stays out of the horizon, so a loop
+    /// that jumps from horizon to horizon skips the parked polls; the
+    /// writer's invalidation still reaches the parked L1 and wakes its
+    /// core.
+    #[test]
+    fn parked_l1s_stay_out_of_the_horizon() {
+        const POLLER: CoreId = CoreId(1);
+        const WRITER: CoreId = CoreId(2);
+        let cfg = CmpConfig::paper_baseline().with_cores(16);
+        let mut sys = MemorySystem::new(&cfg);
+        let wakes = Rc::new(WakeSet::new(16));
+        sys.attach_core_wakes(&wakes);
+        let a = Addr(0xB000);
+        run_op(&mut sys, WRITER, MemOp::Store(a, 7), 0);
+        run_op(&mut sys, POLLER, MemOp::Load(a), 10_000);
+        for t in 15_000..20_000 {
+            sys.tick(t);
+        }
+        let mut now = 20_000;
+        assert_eq!(sys.next_event(now), None);
+        sys.submit(POLLER, MemOp::Load(a), now);
+        assert_eq!(sys.next_event(now), Some(now + cfg.l1.total_latency()));
+        assert!(sys.park_poll(POLLER, a, 7, now).is_some());
+        assert_eq!(sys.next_event(now), None, "the parked access is not an event");
+        assert!(sys.l1s[POLLER.index()].has_events(), "yet it stays queued");
+        sys.tick(now);
+        now += 1_000;
+        sys.submit(WRITER, MemOp::Store(a, 9), now);
+        let mut ticks = 0;
+        while wakes.take_word(0) & (1 << POLLER.0) == 0 {
+            now = sys.next_event(now).expect("the store is in flight");
+            sys.tick(now);
+            now += 1;
+            ticks += 1;
+        }
+        assert!(!sys.l1s[POLLER.index()].is_parked(), "delivery unparks the L1");
+        assert!(ticks < 20, "{ticks} ticks: the horizon jumps between hops");
     }
 
     #[test]

@@ -188,23 +188,34 @@ impl<T> MeshNoc<T> {
         self.routers[pkt.src.index()].in_q[P_LOCAL].push_back(Queued { pkt, ready_at: ready });
     }
 
-    /// Output port at router `at` for a packet heading to `dst`.
+    /// Output port at router `at` for a packet heading to `dst`: XY
+    /// routing, as [`Mesh2D::xy_next_hop`], from the two coordinates alone.
     fn out_port(&self, at: TileId, dst: TileId) -> usize {
-        match self.mesh.xy_next_hop(at, dst) {
-            None => P_LOCAL,
-            Some(next) => {
-                let a = self.mesh.coord(at);
-                let n = self.mesh.coord(next);
-                if n.x > a.x {
-                    P_EAST
-                } else if n.x < a.x {
-                    P_WEST
-                } else if n.y > a.y {
-                    P_SOUTH
-                } else {
-                    P_NORTH
-                }
-            }
+        let a = self.mesh.coord(at);
+        let d = self.mesh.coord(dst);
+        if d.x > a.x {
+            P_EAST
+        } else if d.x < a.x {
+            P_WEST
+        } else if d.y > a.y {
+            P_SOUTH
+        } else if d.y < a.y {
+            P_NORTH
+        } else {
+            P_LOCAL
+        }
+    }
+
+    /// The router that output port `out` of router `r` links to (tiles
+    /// are numbered row by row, so south is one row on).
+    fn neighbor(&self, r: usize, out: usize) -> usize {
+        let cols = usize::from(self.mesh.cols());
+        match out {
+            P_EAST => r + 1,
+            P_WEST => r - 1,
+            P_SOUTH => r + cols,
+            P_NORTH => r - cols,
+            _ => unreachable!("the local port links to no router"),
         }
     }
 
@@ -295,11 +306,8 @@ impl<T> MeshNoc<T> {
                 self.delivered[r].push_back((now + ser, q.pkt));
             } else {
                 self.stats.on_link_traversal(q.pkt.class, q.pkt.bytes);
-                let next = self
-                    .mesh
-                    .xy_next_hop(tile, q.pkt.dst)
-                    .expect("non-local output implies a next hop");
-                if self.router_is_dead(next.index()) {
+                let next = self.neighbor(r, out);
+                if self.router_is_dead(next) {
                     // Forwarded into a dead router: the packet is lost
                     // on the link (XY routing has no detour).
                     self.dropped += 1;
@@ -307,8 +315,8 @@ impl<T> MeshNoc<T> {
                     continue;
                 }
                 let arrive = now + ser + self.cfg.link_latency + self.cfg.router_latency;
-                self.busy_routers.insert(next.index());
-                self.routers[next.index()].in_q[Self::opposite(out)]
+                self.busy_routers.insert(next);
+                self.routers[next].in_q[Self::opposite(out)]
                     .push_back(Queued { pkt: q.pkt, ready_at: arrive });
             }
         }
@@ -451,12 +459,37 @@ impl<T> MeshNoc<T> {
         self.in_flight == 0
     }
 
-    /// The earliest cycle ≥ `now` at which a scheduled router kill fires,
-    /// if any are pending. An otherwise-idle fabric still mutates state on
-    /// that cycle (the router dies in place), so the idle-skip scheduler
-    /// must land on it densely.
-    pub fn next_scheduled_kill(&self, now: Cycle) -> Option<Cycle> {
-        self.scheduled_kills.iter().map(|&(at, _)| at.max(now)).min()
+    /// The earliest cycle ≥ `now` at which [`Self::tick`], or a
+    /// [`Self::drain`] of every delivery tile, changes the fabric's state;
+    /// `None` if nothing is queued, delivered or scheduled.
+    ///
+    /// The horizon is exact. A router acts only when a ready input-queue
+    /// head finds its output link free, so each head contributes
+    /// `max(ready_at, out_free_at[its output])`; before that cycle its
+    /// arbitration finds no contender and moves no round-robin pointer.
+    /// A delivered packet contributes the cycle it becomes ready, and a
+    /// scheduled router kill the cycle it fires: the router dies in place
+    /// even in an idle fabric. Only the active sets are visited.
+    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        let mut next = self.scheduled_kills.iter().map(|&(at, _)| at).min().unwrap_or(Cycle::MAX);
+        for r in self.busy_routers.iter() {
+            let router = &self.routers[r];
+            for q in &router.in_q {
+                if let Some(head) = q.front() {
+                    let out = self.out_port(TileId::from(r), head.pkt.dst);
+                    next = next.min(head.ready_at.max(router.out_free_at[out]));
+                }
+            }
+            if next <= now {
+                return Some(now);
+            }
+        }
+        for t in self.delivery_tiles.iter() {
+            for &(at, _) in &self.delivered[t] {
+                next = next.min(at);
+            }
+        }
+        (next != Cycle::MAX).then_some(next.max(now))
     }
 
     /// Total number of packets sitting in router input queues (congestion
@@ -755,6 +788,107 @@ mod tests {
         assert!(n.packets_dropped() > 1);
         assert!(delivered.len() > 500, "traffic actually flowed ({})", delivered.len());
         assert!(n.busy_routers.is_empty() && n.delivery_tiles.is_empty());
+    }
+
+    /// `out_port` and `neighbor` route exactly as the mesh's reference XY
+    /// routing, on a non-square mesh so rows and columns cannot mix up.
+    #[test]
+    fn ports_follow_xy_routing() {
+        let mesh = Mesh2D::new(5, 3);
+        let n = MeshNoc::<u32>::new(mesh, CmpConfig::paper_baseline().noc);
+        for at in mesh.tiles() {
+            for dst in mesh.tiles() {
+                let out = n.out_port(at, dst);
+                match mesh.xy_next_hop(at, dst) {
+                    None => assert_eq!(out, P_LOCAL, "{at:?} → {dst:?}"),
+                    Some(next) => assert_eq!(n.neighbor(at.index(), out), next.index(), "{at:?} → {dst:?}"),
+                }
+            }
+        }
+    }
+
+    fn fabric_bytes(n: &MeshNoc<u32>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        n.save_state(&mut w, &mut |w, v| w.u32(*v));
+        w.into_bytes()
+    }
+
+    /// One cycle at `now` (tick, then drain every tile) checked against
+    /// the horizon reported before it: a cycle before the horizon leaves
+    /// the fabric's bytes unchanged, the cycle at it changes them. Returns
+    /// the horizon.
+    fn checked_cycle(n: &mut MeshNoc<u32>, now: Cycle) -> Option<Cycle> {
+        let horizon = n.next_event(now);
+        let before = fabric_bytes(n);
+        n.tick(now);
+        let mut buf = Vec::new();
+        for t in 0..n.mesh.len() {
+            n.drain(TileId::from(t), now, &mut buf);
+        }
+        let changed = fabric_bytes(n) != before;
+        match horizon {
+            Some(h) if h == now => assert!(changed, "cycle {now}: the horizon cycle did nothing"),
+            Some(h) => {
+                assert!(h > now, "cycle {now}: horizon {h} lies in the past");
+                assert!(!changed, "cycle {now}: acted before the horizon {h}");
+            }
+            None => assert!(!changed, "cycle {now}: acted with no horizon"),
+        }
+        horizon
+    }
+
+    /// `next_event` is the exact horizon of a cycle. Seeded 9×9 traffic
+    /// whose 150-byte packets hold links for two cycles, extra local
+    /// bypasses, delay faults on a third of the fabric-crossing packets
+    /// and the center router's kill; then, alone on a 4×4 fabric, a head
+    /// that turns ready while its link is busy.
+    #[test]
+    fn next_event_is_the_exact_horizon() {
+        use glocks_sim_base::{FaultPlan, FaultRates, FaultSite};
+        let mut n = fabric_9x9();
+        let mut plan = FaultPlan::seeded(7);
+        plan.noc = FaultRates::delays(300_000, 20);
+        n.set_faults(plan.injector(FaultSite::Noc, 0));
+        let mut traffic = Traffic::new();
+        let (mut inert, mut blocked) = (0, 0);
+        let mut now = 0;
+        while now < 600 || !n.is_idle() {
+            traffic.inject(&mut n, now);
+            if now < 600 && now % 7 == 0 {
+                let t = (now % 81) as u16;
+                n.inject(pkt(t, t, 8, 1_000_000 + now as u32), now);
+            }
+            // Contention: a ready head whose output link is still busy.
+            blocked += usize::from(n.busy_routers.iter().any(|r| {
+                n.routers[r].in_q.iter().filter_map(|q| q.front()).any(|h| {
+                    let out = n.out_port(TileId::from(r), h.pkt.dst);
+                    h.ready_at <= now && n.routers[r].out_free_at[out] > now
+                })
+            }));
+            inert += usize::from(checked_cycle(&mut n, now) != Some(now));
+            now += 1;
+        }
+        assert_eq!(n.next_event(now), None, "an idle fabric has no horizon");
+        assert_eq!(n.router_dead_at(TileId(KILLED)), Some(KILL_AT));
+        assert!(n.fault_stats().expect("injector attached").delayed > 50);
+        assert!(blocked > 50, "links must be contended ({blocked} cycles)");
+        assert!(inert > 10, "the horizon must skip cycles ({inert})");
+
+        // Tile 0's packet reaches router 1's west port ready at 9, when
+        // tile 1's own packet turns ready; both want the east link, which
+        // the winner holds for two cycles, so cycle 10 is inert.
+        let mut n = noc();
+        let mut horizons = Vec::new();
+        for now in 0..40 {
+            match now {
+                0 => n.inject(pkt(0, 2, 150, 1), now),
+                6 => n.inject(pkt(1, 2, 150, 2), now),
+                _ => {}
+            }
+            horizons.push(checked_cycle(&mut n, now));
+        }
+        assert_eq!(horizons[9..12], [Some(9), Some(11), Some(11)], "the loser waits for the link");
+        assert!(n.is_idle());
     }
 
     #[test]

@@ -59,6 +59,10 @@ pub struct SimReport {
     /// Full typed-stats snapshot, present when a stats session was active
     /// during the run (`glocks_stats::enable`). `None` costs nothing.
     pub stats: Option<glocks_stats::StatsDump>,
+    /// Cycles the run loop executed one by one rather than fast-forwarded
+    /// (all of them under `--dense`). A host execution figure, kept out of
+    /// the stats dump so dense and event-driven dumps stay identical.
+    pub dense_cycles: Cycle,
 }
 
 impl SimReport {
@@ -129,6 +133,7 @@ mod tests {
             finished_at: vec![],
             pool: None,
             stats: None,
+            dense_cycles: 0,
         };
         assert!((report.aggregate_lcr_above(2) - 0.7).abs() < 1e-12);
         assert!((report.aggregate_lcr_above(0) - 1.0).abs() < 1e-12);

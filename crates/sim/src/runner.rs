@@ -260,16 +260,11 @@ pub struct Simulation {
     fingerprint: u64,
     /// Start of this attempt's wall-clock budget.
     started: Instant,
-    /// Idle-skip throttle (host-side wall-clock heuristic, never
-    /// serialized): dense cycles to burn before the next fast-forward
-    /// attempt, and the exponentially-growing penalty a failed attempt
-    /// re-arms it with. Saturated phases thus pay the full component scan
-    /// only every few cycles, while a single successful skip resets the
-    /// throttle to "attempt every cycle". Skip decisions never change the
-    /// machine trajectory (the byte-identity contract), so when to *try*
-    /// is free policy.
-    skip_cooldown: u64,
-    skip_penalty: u64,
+    /// Cycles this object executed one by one in [`Simulation::step`],
+    /// as opposed to fast-forwarded. Deterministic, but a host execution
+    /// figure like `idle_skip`: never serialized, and a resumed run counts
+    /// from its resume point.
+    dense_cycles: u64,
 }
 
 impl Simulation {
@@ -490,8 +485,7 @@ impl Simulation {
             progress_mark: (0, 0),
             fingerprint,
             started: Instant::now(),
-            skip_cooldown: 0,
-            skip_penalty: 0,
+            dense_cycles: 0,
         };
         sim.rebuild_core_sets();
         sim
@@ -698,6 +692,7 @@ impl Simulation {
         }
         let all_done = self.n_finished == self.cores.len();
         self.tick_devices();
+        self.dense_cycles += 1;
         self.wake_cores();
         self.tracker.sample();
         if self.options.check_invariants_every > 0
@@ -770,20 +765,14 @@ impl Simulation {
     /// deadline, checkpoint boundary, cycle limit) — is executed densely by
     /// [`Simulation::step`], so the machine marches through exactly the
     /// dense loop's state trajectory.
+    ///
+    /// Every step attempts the skip. Each horizon is exact, so a failed
+    /// attempt means a component really acts on the next cycle; it says
+    /// nothing about the cycles after it.
     pub fn step_fast(&mut self, checkpoint_cadence: u64) -> Result<bool, SimError> {
         let done = self.step()?;
         if !done && self.options.idle_skip {
-            if self.skip_cooldown > 0 {
-                // A recent attempt found a hot component; don't pay the
-                // full scan again just yet. Pure wall-clock policy — the
-                // cycles in between run densely either way.
-                self.skip_cooldown -= 1;
-            } else if self.fast_forward(checkpoint_cadence)? {
-                self.skip_penalty = 0;
-            } else {
-                self.skip_penalty = (self.skip_penalty * 2).clamp(1, 32);
-                self.skip_cooldown = self.skip_penalty;
-            }
+            self.fast_forward(checkpoint_cadence)?;
         }
         Ok(done)
     }
@@ -793,7 +782,7 @@ impl Simulation {
     /// scheduled side effect, and jump there — charging the cores'
     /// activity breakdowns and the tracker's grAC samples for the skipped
     /// cycles in one batch, exactly as the dense loop would have.
-    fn fast_forward(&mut self, checkpoint_cadence: u64) -> Result<bool, SimError> {
+    fn fast_forward(&mut self, checkpoint_cadence: u64) -> Result<(), SimError> {
         let now = self.now;
         // Earliest component wake. `Some(t <= now)` means hot — tick
         // densely, no skip. `None` means inert until some *other*
@@ -803,7 +792,7 @@ impl Simulation {
         macro_rules! fold {
             ($ev:expr) => {
                 match $ev {
-                    Some(t) if t <= now => return Ok(false),
+                    Some(t) if t <= now => return Ok(()),
                     Some(t) => wake = Some(wake.map_or(t, |w: Cycle| w.min(t))),
                     None => {}
                 }
@@ -811,10 +800,10 @@ impl Simulation {
         }
         // Parked cores report no wake of their own (the device that ends
         // the spin does: the net owning the polled register, or the memory
-        // system, hot while a parked L1 keeps its access), so only the
-        // active ones are asked.
+        // system delivering a coherence message to the parked L1), so only
+        // the active ones are asked.
         for i in self.active.iter() {
-            fold!(self.cores[i].next_event(now));
+            fold!(self.cores[i].next_event(now, &self.mem));
         }
         fold!(self.mem.next_event(now));
         for net in &self.glock_nets {
@@ -857,7 +846,7 @@ impl Simulation {
             target = target.min(now.next_multiple_of(checkpoint_cadence));
         }
         if target <= now {
-            return Ok(false);
+            return Ok(());
         }
         let k = target - now;
         // Replicate the `k` skipped cycles' observable effects in O(1):
@@ -887,7 +876,7 @@ impl Simulation {
                 });
             }
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Run the parallel phase to completion and produce the report, or a
@@ -1241,6 +1230,7 @@ impl Simulation {
             finished_at: finished_at_vec,
             pool: self.pool.as_ref().map(|p| p.stats()),
             stats,
+            dense_cycles: self.dense_cycles,
         };
         Ok((report, self.mem))
     }

@@ -22,6 +22,10 @@ pub struct BenchRecord {
     pub wall_s: f64,
     /// Simulated cycles covered by the phase (0 for non-simulation work).
     pub sim_cycles: u64,
+    /// Of those, the cycles the run loop executed one by one instead of
+    /// fast-forwarding: `1 - dense_cycles / sim_cycles` is the phase's
+    /// skip fraction.
+    pub dense_cycles: u64,
 }
 
 impl BenchRecord {
@@ -56,12 +60,15 @@ impl Stopwatch {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Stop the watch and record the phase in this thread's profile.
-    pub fn stop(self, sim_cycles: u64) -> BenchRecord {
+    /// Stop the watch and record the phase, which simulated `sim_cycles`
+    /// cycles and executed `dense_cycles` of them one by one, in this
+    /// thread's profile.
+    pub fn stop(self, sim_cycles: u64, dense_cycles: u64) -> BenchRecord {
         let rec = BenchRecord {
             label: self.label,
             wall_s: self.started.elapsed().as_secs_f64(),
             sim_cycles,
+            dense_cycles,
         };
         RECORDS.with(|r| r.borrow_mut().push(rec.clone()));
         rec
@@ -88,6 +95,7 @@ pub fn bench_json(records: &[BenchRecord]) -> String {
                     m.insert("label".to_string(), Json::Str(r.label.clone()));
                     m.insert("wall_s".to_string(), Json::Num(r.wall_s));
                     m.insert("sim_cycles".to_string(), Json::UInt(r.sim_cycles));
+                    m.insert("dense_cycles".to_string(), Json::UInt(r.dense_cycles));
                     m.insert(
                         "cycles_per_sec".to_string(),
                         Json::Num(r.cycles_per_sec()),
@@ -118,7 +126,7 @@ mod tests {
         drain(); // isolate from other tests on this thread
         let w = Stopwatch::start("phase_a");
         assert!(w.elapsed_s() >= 0.0);
-        let rec = w.stop(1_000_000);
+        let rec = w.stop(1_000_000, 250_000);
         assert_eq!(rec.label, "phase_a");
         assert!(rec.wall_s >= 0.0);
         let recs = drain();
@@ -130,8 +138,8 @@ mod tests {
     #[test]
     fn bench_json_totals_add_up() {
         let recs = vec![
-            BenchRecord { label: "a".into(), wall_s: 0.5, sim_cycles: 100 },
-            BenchRecord { label: "b".into(), wall_s: 1.5, sim_cycles: 300 },
+            BenchRecord { label: "a".into(), wall_s: 0.5, sim_cycles: 100, dense_cycles: 100 },
+            BenchRecord { label: "b".into(), wall_s: 1.5, sim_cycles: 300, dense_cycles: 30 },
         ];
         let doc = bench_json(&recs);
         let v = json::parse(&doc).expect("valid json");
@@ -141,11 +149,13 @@ mod tests {
         let phases = v.get("phases").unwrap().as_arr().unwrap();
         assert_eq!(phases.len(), 2);
         assert_eq!(phases[0].get("cycles_per_sec").unwrap().as_f64(), Some(200.0));
+        let dense: Vec<_> = phases.iter().map(|p| p.get("dense_cycles").unwrap().as_u64()).collect();
+        assert_eq!(dense, [Some(100), Some(30)], "each phase carries its dense cycles");
     }
 
     #[test]
     fn zero_wall_time_does_not_divide_by_zero() {
-        let r = BenchRecord { label: "x".into(), wall_s: 0.0, sim_cycles: 10 };
+        let r = BenchRecord { label: "x".into(), wall_s: 0.0, sim_cycles: 10, dense_cycles: 10 };
         assert_eq!(r.cycles_per_sec(), 0.0);
     }
 }

@@ -23,6 +23,11 @@ Two independent gates, both of which must pass:
     waiters spin on G-line registers) and MCS (`mcs_busy_phase`, whose
     waiters spin on L1 hits and hand off through coherence traffic).
 
+Every phase's skip fraction (1 - dense_cycles / sim_cycles: the share of
+its simulated cycles the event-driven loop fast-forwarded) is printed too,
+so a log shows where the event horizon pays.  It is informational, not
+gated.
+
 With --append, the run's headline numbers are also appended as one JSON
 line to a trajectory file (JSONL), which CI uploads as an artifact so the
 fleet's perf history accumulates across runs.
@@ -42,6 +47,17 @@ def phase_tiles(label: str) -> int:
     return int(m.group(1))
 
 
+def skip_frac(phase: dict):
+    """Share of a phase's simulated cycles that were fast-forwarded, or
+    None for a profile without `dense_cycles` or a phase that simulated
+    nothing."""
+    if "dense_cycles" not in phase or phase["sim_cycles"] == 0:
+        return None
+    # A run executes cycles 0..=sim_cycles, so a dense one is slightly
+    # negative before the clamp.
+    return max(0.0, 1.0 - phase["dense_cycles"] / phase["sim_cycles"])
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("bench", help="BENCH_*.json self-profile to check")
@@ -56,6 +72,7 @@ def main() -> int:
         base = json.load(f)
 
     phases = {p["label"]: p["cycles_per_sec"] for p in bench["phases"]}
+    skips = {p["label"]: skip_frac(p) for p in bench["phases"]}
     try:
         idle = phases[base["idle_phase"]]
         busy = phases[base["busy_phase"]]
@@ -73,6 +90,9 @@ def main() -> int:
         (base["mcs_busy_phase"], mcs_busy, mcs_busy_tiles, base["min_mcs_busy_tile_cycles_per_sec"]),
     ]
     total = bench["total_cycles_per_sec"]
+    for label, frac in skips.items():
+        if frac is not None:
+            print(f"skip fraction    {frac:>12.4f} ({label})")
     print(f"total            {total:>12.0f} cycles/s (floor {base['min_total_cycles_per_sec']})")
     print(f"idle-heavy phase {idle:>12.0f} cycles/s ({base['idle_phase']})")
     for label, rate, tiles, floor in saturated:
@@ -118,6 +138,13 @@ def main() -> int:
             "total_wall_s": round(bench["total_wall_s"], 3),
             "gate": "pass" if ok else "fail",
         }
+        for key, phase in [
+            ("idle_skip_frac", base["idle_phase"]),
+            ("busy_skip_frac", base["busy_phase"]),
+            ("mcs_busy_skip_frac", base["mcs_busy_phase"]),
+        ]:
+            if skips[phase] is not None:
+                entry[key] = round(skips[phase], 4)
         with open(args.append, "a") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
         print(f"appended trajectory entry to {args.append}")

@@ -224,6 +224,73 @@ fn event_driven_and_dense_loops_agree_with_parked_spinners() {
     }
 }
 
+/// The event-driven loop jumps across router pipelines, L2 and memory
+/// latency on the memory system's exact horizon. Delay faults move that
+/// horizon: a delayed packet's head turns ready late and a delayed
+/// directory reply finishes late. Dense and event-driven dumps must still
+/// match byte for byte, and the dumps must show the delays fired.
+#[test]
+fn event_driven_and_dense_loops_agree_under_coherence_faults() {
+    let bench = BenchConfig::smoke(BenchKind::Sctr, 16);
+    let opts = |idle_skip: bool| {
+        let mut plan = FaultPlan::seeded(0xFA04);
+        plan.noc = FaultRates::delays(20_000, 30);
+        plan.dir = FaultRates::delays(50_000, 40);
+        SimulationOptions { fault_plan: Some(plan), idle_skip, ..Default::default() }
+    };
+    for algo in [LockAlgorithm::Mcs, LockAlgorithm::Tatas, LockAlgorithm::Glock] {
+        let mapping = LockMapping::hybrid(&bench.hc_locks(), algo, bench.n_locks());
+        let skip = dump_mapped(&bench, &mapping, opts(true));
+        let dense = dump_mapped(&bench, &mapping, opts(false));
+        assert!(skip == dense, "{algo:?}: delay faults made the loops diverge");
+        let dump = gstats::StatsDump::from_json(&skip).expect("dump parses");
+        for site in ["noc", "dir"] {
+            let delays = dump.counters.get(&format!("faults.{site}.delays")).copied();
+            assert!(delays.unwrap_or(0) > 0, "{algo:?}: no {site} delay fired");
+        }
+    }
+}
+
+/// A permanent router or tile death wedges the coherence protocol, which
+/// has no retransmission layer. With nothing left in flight the memory
+/// system reports no horizon, so the event-driven loop jumps straight to
+/// the watchdog's deadline; the error and its diagnostic snapshot must be
+/// the dense loop's, whatever the death cycle.
+#[test]
+fn event_driven_and_dense_loops_agree_on_router_and_tile_deaths() {
+    use glocks_repro::sim_base::fault::{HardFault, HardFaultTarget};
+    let bench = BenchConfig::smoke(BenchKind::Sctr, 16);
+    let mapping = LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Mcs, bench.n_locks());
+    let cfg = CmpConfig::paper_baseline().with_cores(bench.threads);
+    let run = |fault: HardFault, idle_skip: bool| {
+        let mut plan = FaultPlan::seeded(0xFA05);
+        plan.hard.push(fault);
+        let options = SimulationOptions {
+            fault_plan: Some(plan),
+            idle_skip,
+            watchdog_cycles: 50_000,
+            ..Default::default()
+        };
+        let inst = bench.build();
+        let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, options);
+        match sim.run() {
+            Ok((report, _)) => panic!("{fault:?} did not wedge ({} cycles)", report.cycles),
+            Err(e) => format!("{e:?}"),
+        }
+    };
+    for (at, target) in [
+        (1_500, HardFaultTarget::NocRouter { tile: 5 }),
+        (6_000, HardFaultTarget::NocRouter { tile: 10 }),
+        (1_000, HardFaultTarget::Tile { core: 3 }),
+        (7_000, HardFaultTarget::Tile { core: 12 }),
+    ] {
+        let fault = HardFault::permanent(at, target);
+        let skip = run(fault, true);
+        let dense = run(fault, false);
+        assert_eq!(skip, dense, "{fault:?}: the loops surfaced different errors");
+    }
+}
+
 #[test]
 fn self_diff_of_a_dump_is_clean() {
     let text = dump_json(Default::default());
