@@ -101,10 +101,6 @@ impl GlockPool {
         })
     }
 
-    pub fn n_physical(&self) -> usize {
-        self.regs.len()
-    }
-
     /// The register file of physical lock `k`.
     pub fn regs(&self, k: usize) -> Rc<GlockRegisters> {
         Rc::clone(&self.regs[k])

@@ -2,12 +2,12 @@
 //! actions into backend scripts, and attributes every cycle.
 
 use crate::breakdown::{Breakdown, Category};
-use crate::program::{Action, BarrierBackend, LockBackend, Script, Step, Workload};
+use crate::program::{Action, BarrierBackend, LockBackend, Script, Spin, Step, Workload};
 use crate::tracker::LockTracker;
 use glocks_mem::{MemOp, MemorySystem};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::trace::TraceMask;
-use glocks_sim_base::{trace_event, Addr, CoreId, Cycle, LockId, ThreadId};
+use glocks_sim_base::{trace_event, CoreId, Cycle, LockId, ThreadId};
 
 /// Lock and barrier implementations available to the cores.
 pub struct Backends<'a> {
@@ -84,14 +84,15 @@ pub struct Core {
     /// structured diagnosis (failover applies to lock networks, not to the
     /// computation a dead tile was carrying).
     halt_at: Option<Cycle>,
-    /// The memory op this core last submitted is a declared L1-hit poll
-    /// of this address ([`Script::load_spin`]), recorded at pull time so
-    /// [`Core::park`] needs no script call. Host state, never serialized.
-    poll: Option<Addr>,
+    /// The step this core last started is a declared spin
+    /// ([`Script::spin`]), recorded at pull time so [`Core::park`] needs
+    /// no script call. Host state, never serialized.
+    spin: Option<Spin>,
     /// Parked in a spin since the first cycle here, re-issuing one poll
     /// every second field's cycles (see [`Core::park`]): the runner stops
     /// ticking the core and owes it the charges of every cycle from here
-    /// until [`Core::unpark`]. Derived host state, never serialized.
+    /// until [`Core::unpark`] or its halt, whichever comes first. Derived
+    /// host state, never serialized.
     parked: Option<(Cycle, u64)>,
 }
 
@@ -110,7 +111,7 @@ impl Core {
             finished_at: None,
             progress_events: 0,
             halt_at: None,
-            poll: None,
+            spin: None,
             parked: None,
         }
     }
@@ -318,7 +319,7 @@ impl Core {
         self.finished_at = r.opt_u64()?;
         self.progress_events = r.u64()?;
         self.halt_at = r.opt_u64()?;
-        self.poll = None;
+        self.spin = None;
         self.parked = None;
         Ok(())
     }
@@ -335,9 +336,9 @@ impl Core {
     /// memory system. A core waiting on memory acts only once its L1 holds
     /// a result, so it is inert until then: the L1 completes an access
     /// only on a cycle `mem`'s own exact horizon claims, and the core
-    /// takes the result on the cycle after. A `Ready` core that is not in
-    /// a declared register-poll spin reports `Some(now)`, i.e. "hot, tick
-    /// me densely".
+    /// takes the result on the cycle after. A `Ready` core reports
+    /// `Some(now)`, i.e. "hot, tick me densely": a core in a declared spin
+    /// is parked instead, and the runner does not ask it.
     pub fn next_event(&self, now: Cycle, mem: &MemorySystem) -> Option<Cycle> {
         if matches!(self.state, State::Finished) {
             return None;
@@ -349,16 +350,8 @@ impl Core {
         }
         let fence = |t: Cycle| Some(self.halt_at.map_or(t, |h| t.min(h)));
         match self.state {
-            // A declared register-poll spin (`bnz lock_req, loop`) is
-            // inert: each cycle retires exactly one poll instruction until
-            // a device — whose own `next_event` the runner consults —
-            // flips the register. A scheduled tile death still fences the
-            // poll charges, so it stays observable.
-            State::Ready if self.sub.as_ref().is_some_and(|s| s.script.idle_spin()) => {
-                self.halt_at
-            }
-            // Otherwise a pull could run scripts / submit memory ops —
-            // unpredictable from here.
+            // A pull could run scripts / submit memory ops — unpredictable
+            // from here.
             State::Ready => Some(now),
             State::WaitingMem if mem.has_result(self.id) => Some(now),
             // Inert until the memory system delivers; the halt fence keeps
@@ -383,20 +376,6 @@ impl Core {
         if matches!(self.state, State::Finished) || self.is_halted_at(now) {
             return;
         }
-        if matches!(self.state, State::Ready) {
-            // Only reachable for a declared register-poll spin (see
-            // `next_event`): each skipped cycle retires exactly the one
-            // poll instruction and charges the same category the dense
-            // loop would have.
-            debug_assert!(
-                self.sub.as_ref().is_some_and(|s| s.script.idle_spin()),
-                "core {}: skipped while hot",
-                self.id
-            );
-            self.breakdown.instructions += k;
-            self.breakdown.charge(self.category(), k);
-            return;
-        }
         if let State::WaitingUntil(t) = self.state {
             debug_assert!(now + k <= t, "core {}: skipped past its wake cycle", self.id);
         }
@@ -410,63 +389,55 @@ impl Core {
         }
     }
 
-    /// Park this core after its tick of cycle `now` if it sits in a
-    /// declared spin and has no scheduled halt. Returns whether it parked.
+    /// Park this core after its tick of cycle `now` if the step it just
+    /// started is a declared spin ([`Script::spin`]). Returns whether it
+    /// parked.
     ///
     /// Two spins park:
-    /// * a register poll ([`Script::idle_spin`]): every dense tick would
+    /// * a register poll ([`Spin::Register`]): every dense tick would
     ///   retire one poll and charge one cycle. Only a device can end it,
     ///   so a core woken right after the device phase of cycle `c` and
     ///   charged through `c` is in exactly the state the dense loop would
-    ///   tick at `c + 1`;
-    /// * an L1-hit poll ([`Script::load_spin`]) just submitted, if `mem`
-    ///   accepts to park its L1 with it ([`MemorySystem::park_poll`]):
-    ///   every dense tick charges one cycle and one per poll period takes
-    ///   the unchanged value and re-issues the poll. The L1 wakes
-    ///   the core when a coherence message reaches it.
+    ///   tick at `c + 1`. A scheduled tile death needs no wake of its own:
+    ///   from the halt on the dense loop charges nothing, so
+    ///   [`Core::unpark`] stops the charges there;
+    /// * an L1-hit poll ([`Spin::Load`]) just submitted, if `mem` accepts
+    ///   to park its L1 with it ([`MemorySystem::park_poll`]): every dense
+    ///   tick charges one cycle and one per poll period takes the
+    ///   unchanged value and re-issues the poll. The L1 wakes the core
+    ///   when a coherence message reaches it. A core with a scheduled halt
+    ///   keeps polling: its L1's replay would need the fence too, and only
+    ///   tile-death fault plans schedule a halt.
     ///
     /// [`Core::unpark`] charges the owed cycles in one batch.
     #[inline]
     pub fn park(&mut self, now: Cycle, mem: &mut MemorySystem) -> bool {
         // Called after every tick of an event-driven run, so a core that
         // is not spinning must get out in one branch.
-        let period = match self.state {
-            State::Ready => {
-                if self.halt_at.is_some() || !self.sub.as_ref().is_some_and(|s| s.script.idle_spin())
-                {
-                    return false;
-                }
-                1
+        let period = match (self.spin.take(), self.state) {
+            (Some(Spin::Register), State::Ready) => Some(1),
+            (Some(Spin::Load(a)), State::WaitingMem) if self.halt_at.is_none() => {
+                mem.park_poll(self.id, a, self.last_value, now)
             }
-            State::WaitingMem if self.poll.is_some() => match self.park_poll(now, mem) {
-                Some(period) => period,
-                None => return false,
-            },
-            _ => return false,
+            _ => None,
+        };
+        let Some(period) = period else {
+            return false;
         };
         self.parked = Some((now + 1, period));
         true
     }
 
-    /// The L1-hit half of [`Core::park`]: the poll just submitted, offered
-    /// to the memory system once. Returns the poll period if it parked.
-    #[cold]
-    fn park_poll(&mut self, now: Cycle, mem: &mut MemorySystem) -> Option<u64> {
-        let a = self.poll.take()?;
-        if self.halt_at.is_some() {
-            return None;
-        }
-        mem.park_poll(self.id, a, self.last_value, now)
-    }
-
     /// End a park: charge the cycles from the park up to (not including)
-    /// `until`, one instruction per re-issued poll. Returns whether the
-    /// core was parked; unparking an active core does nothing.
+    /// `until` or the halt, whichever comes first, one instruction per
+    /// re-issued poll. Returns whether the core was parked; unparking an
+    /// active core does nothing.
     pub fn unpark(&mut self, until: Cycle) -> bool {
         let Some((from, period)) = self.parked.take() else {
             return false;
         };
-        let k = until - from;
+        let end = self.halt_at.map_or(until, |h| until.min(h));
+        let k = end.saturating_sub(from);
         self.breakdown.instructions += k / period;
         self.breakdown.charge(self.category(), k);
         true
@@ -527,11 +498,13 @@ impl Core {
     ) {
         // A zero-cycle-step cap: catches scripts that never make progress.
         for _ in 0..10_000 {
-            let mut poll = None;
+            let mut spin = None;
             let step = if let Some(sub) = self.sub.as_mut() {
                 let s = sub.script.resume(self.last_value);
-                if let Step::Mem(MemOp::Load(a)) = s {
-                    poll = sub.script.load_spin(self.last_value).filter(|&p| p == a);
+                // Only a one-instruction poll or a load can be a spin, so
+                // any other step costs no second call.
+                if matches!(s, Step::Compute(1) | Step::Mem(MemOp::Load(_))) {
+                    spin = sub.script.spin(self.last_value).filter(|p| p.step() == s);
                 }
                 if let Step::Done = s {
                     self.progress_events += 1;
@@ -610,13 +583,14 @@ impl Core {
                 }
                 Step::Compute(n) => {
                     self.breakdown.instructions += n;
+                    self.spin = spin;
                     self.state = State::Computing(n.div_ceil(self.issue_width));
                     self.last_value = 0;
                     return;
                 }
                 Step::Mem(op) => {
                     self.breakdown.instructions += 1;
-                    self.poll = poll;
+                    self.spin = spin;
                     mem.submit(self.id, op, now);
                     self.state = State::WaitingMem;
                     return;
@@ -635,7 +609,7 @@ impl Core {
 mod tests {
     use super::*;
     use crate::program::FixedScript;
-    use glocks_sim_base::CmpConfig;
+    use glocks_sim_base::{Addr, CmpConfig};
 
     /// A scripted workload from a fixed action list.
     struct Scripted {
@@ -874,6 +848,74 @@ mod tests {
         }
         assert_eq!(core.progress_events(), frozen, "no progress after death");
         assert_eq!(core.breakdown().total(), cycles, "no cycles attributed");
+    }
+
+    /// `GL_Lock` over a shared `lock_req` register: acquiring raises it,
+    /// and the test resets it as the G-line controller would.
+    struct RegisterLock(std::rc::Rc<std::cell::Cell<bool>>);
+
+    impl Script for RegisterLock {
+        fn resume(&mut self, _last: u64) -> Step {
+            if self.0.get() { Step::Compute(1) } else { Step::Done }
+        }
+
+        fn spin(&self, _last: u64) -> Option<Spin> {
+            self.0.get().then_some(Spin::Register)
+        }
+    }
+
+    impl LockBackend for RegisterLock {
+        fn acquire(&self, _tid: ThreadId) -> Box<dyn Script> {
+            self.0.set(true);
+            Box::new(RegisterLock(self.0.clone()))
+        }
+        fn release(&self, _tid: ThreadId) -> Box<dyn Script> {
+            Box::new(FixedScript::new(1))
+        }
+        fn name(&self) -> &'static str {
+            "register"
+        }
+    }
+
+    /// A core spinning from cycle 3 on a register reset in the device
+    /// phase of `grant_at`, whose tile dies at `halt`: its charges at cycle
+    /// 400, and whether it parked. With `park` the core is driven like the
+    /// event-driven runner drives it.
+    fn register_spin(halt: Cycle, grant_at: Cycle, park: bool) -> (Breakdown, u64, bool) {
+        let cfg = CmpConfig::paper_baseline().with_cores(2);
+        let mut mem = MemorySystem::new(&cfg);
+        let req = std::rc::Rc::new(std::cell::Cell::new(false));
+        let locks: Vec<Box<dyn LockBackend>> = vec![Box::new(RegisterLock(req.clone()))];
+        let backends = Backends { locks: &locks, barrier: &FixedBarrier(1) };
+        let mut tracker = LockTracker::new(1, 2);
+        let actions = vec![Action::Compute(6), Action::Acquire(LockId(0)), Action::Compute(4)];
+        let mut core = Core::new(CoreId(0), 2, Box::new(Scripted::new(actions)));
+        core.schedule_halt(halt);
+        let mut parked = false;
+        for now in 0..400 {
+            if core.parked.is_none() {
+                core.tick(now, &mut mem, &backends, &mut tracker);
+                parked |= park && core.park(now, &mut mem);
+            }
+            if now == grant_at {
+                req.set(false);
+                core.unpark(now + 1);
+            }
+        }
+        core.unpark(400);
+        (core.breakdown, core.progress_events, parked)
+    }
+
+    #[test]
+    fn parked_register_spinner_is_charged_up_to_its_halt() {
+        // The core parks after its tick of cycle 3, owing charges from 4.
+        for (halt, grant_at) in [(50, 200), (50, 49), (50, 50), (200, 50), (4, 100), (5, 100)] {
+            let (dense, progress, _) = register_spin(halt, grant_at, false);
+            let (parked, parked_progress, did_park) = register_spin(halt, grant_at, true);
+            let case = format!("halt {halt}, grant {grant_at}");
+            assert!(did_park, "{case}: never parked");
+            assert_eq!((parked, parked_progress), (dense, progress), "{case}");
+        }
     }
 
     #[test]

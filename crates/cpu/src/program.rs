@@ -48,35 +48,47 @@ pub enum Step {
     Done,
 }
 
+/// A declared spin (see [`Script::spin`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Spin {
+    /// A register poll: one `Compute(1)` per iteration.
+    Register,
+    /// An L1-hit poll: one load of this address per iteration.
+    Load(Addr),
+}
+
+impl Spin {
+    /// The step each iteration of this spin returns.
+    pub fn step(self) -> Step {
+        match self {
+            Spin::Register => Step::Compute(1),
+            Spin::Load(a) => Step::Mem(MemOp::Load(a)),
+        }
+    }
+}
+
 /// A resumable sub-program (one lock acquire, one release, one barrier
 /// episode). `resume` is called with the result of the previously returned
 /// step (the loaded/old value of a `Mem` step, else 0).
 pub trait Script {
     fn resume(&mut self, last: u64) -> Step;
 
-    /// Whether this script is currently an *inert register-poll spin*:
-    /// until some device flips the register it polls, every `resume` will
-    /// return `Step::Compute(1)` (one `bnz reg, loop` iteration) and leave
-    /// the script in the same position. Declaring it lets the event-driven
-    /// runner replicate those poll cycles in bulk instead of executing
-    /// them one by one; the polled device's own `next_event` is what
-    /// bounds the jump, so a script may only return `true` while the
-    /// register flip it waits for is produced by a component the runner
-    /// polls for wakes. The default (`false`) keeps a script hot, which is
-    /// always safe.
-    fn idle_spin(&self) -> bool {
-        false
-    }
-
-    /// Whether this script is an *L1-hit poll spin* on `last`: `Some(a)`
-    /// iff `resume(last)` would return `Step::Mem(MemOp::Load(a))` and
-    /// leave the script in the same position. Until the value at `a`
-    /// changes, every poll returns `last` again, so a runner whose L1 still
-    /// holds the line may replay those polls in bulk and wake the core
-    /// when a coherence message reaches that L1 (any write to the line
-    /// must first invalidate or forward the poller's copy). The default
-    /// (`None`) keeps a script hot, which is always safe.
-    fn load_spin(&self, _last: u64) -> Option<Addr> {
+    /// Whether the step the last `resume(last)` returned is a declared
+    /// spin: until a device acts, every further `resume(last)` returns the
+    /// same step and leaves the script in the same position. Asked only
+    /// right after a resume that returned `Step::Compute(1)` or a load.
+    ///
+    /// * [`Spin::Register`] for a `Compute(1)`: a register-poll spin
+    ///   (`bnz reg, loop`) that only a device the runner polls for wakes
+    ///   (a G-line network, the hardware barrier) can end;
+    /// * [`Spin::Load(a)`](Spin::Load) for a `Load(a)`: an L1-hit poll
+    ///   spin on `a` that sees `last` again until a write to `a`, which
+    ///   must first invalidate or forward the poller's copy.
+    ///
+    /// The runner may then stop ticking the core and replay the polls in
+    /// one batch when the device wakes it. The default (`None`) keeps a
+    /// script hot, which is always safe.
+    fn spin(&self, _last: u64) -> Option<Spin> {
         None
     }
 

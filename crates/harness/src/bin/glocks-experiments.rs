@@ -61,6 +61,7 @@ use glocks_harness::{
     sweep::{self, RunOutput, SweepConfig},
     table1, table2, table3, table4,
 };
+use glocks_sim_base::table::TextTable;
 use glocks_sim_base::trace::{self, TraceMask, TraceRecord};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -93,7 +94,13 @@ struct Cli {
     synthetic_bug: bool,
 }
 
-fn write_csv(dir: &Option<String>, name: &str, table: &glocks_sim_base::table::TextTable) {
+/// Print `table` to `out` and, under `--csv`, write it as `<name>.csv`.
+fn emit(out: &mut String, dir: &Option<String>, name: &str, table: &TextTable) {
+    writeln!(out, "{}", table.render()).unwrap();
+    write_csv(dir, name, table);
+}
+
+fn write_csv(dir: &Option<String>, name: &str, table: &TextTable) {
     if let Some(d) = dir {
         let _ = std::fs::create_dir_all(d);
         let path = format!("{d}/{name}.csv");
@@ -123,30 +130,12 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
     }
     let mut out = String::new();
     match name {
-        "table1" => {
-            let t = table1::run();
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "table1", &t);
-        }
-        "table2" => {
-            let t = table2::run();
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "table2", &t);
-        }
-        "table3" => {
-            let t = table3::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "table3", &t);
-        }
-        "fig1" => {
-            let t = fig1::run(opts).0;
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "fig1", &t);
-        }
+        "table1" => emit(&mut out, csv_dir, "table1", &table1::run()),
+        "table2" => emit(&mut out, csv_dir, "table2", &table2::run()),
+        "table3" => emit(&mut out, csv_dir, "table3", &table3::run(opts)),
+        "fig1" => emit(&mut out, csv_dir, "fig1", &fig1::run(opts).0),
         "fig7" => {
-            let t = fig7::run(opts).0;
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "fig7", &t);
+            emit(&mut out, csv_dir, "fig7", &fig7::run(opts).0);
             if csv_dir.is_some() {
                 // full per-grAC matrix for replotting the 3D figure
                 write_csv(csv_dir, "fig7_full", &fig7::full_matrix(opts));
@@ -154,9 +143,8 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
         }
         "fig8" => {
             let (t, rows) = fig8::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
+            emit(&mut out, csv_dir, "fig8", &t);
             writeln!(out, "{}", fig8::chart(&rows)).unwrap();
-            write_csv(csv_dir, "fig8", &t);
             let (m, a) = fig8::average_reductions(&rows);
             writeln!(
                 out,
@@ -166,22 +154,16 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
             )
             .unwrap();
         }
-        "table4" => {
-            let t = table4::run(opts).0;
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "table4", &t);
-        }
+        "table4" => emit(&mut out, csv_dir, "table4", &table4::run(opts).0),
         "fig9" => {
             let (t, rows) = fig9::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
+            emit(&mut out, csv_dir, "fig9", &t);
             writeln!(out, "{}", fig9::chart(&rows)).unwrap();
-            write_csv(csv_dir, "fig9", &t);
         }
         "fig10" => {
             let (t, rows) = fig10::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
+            emit(&mut out, csv_dir, "fig10", &t);
             writeln!(out, "{}", fig10::chart(&rows)).unwrap();
-            write_csv(csv_dir, "fig10", &t);
         }
         "stats" => {
             use glocks_harness::exp::{glock_mapping, try_run_bench};
@@ -195,34 +177,14 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
                 writeln!(out, "{}", glocks_sim::summary::render(&r.report)).unwrap();
             }
         }
-        "faults" => {
-            let t = faults::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "faults", &t);
-        }
-        "chaos" => {
-            let t = chaos::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "chaos", &t);
-        }
+        "faults" => emit(&mut out, csv_dir, "faults", &faults::run(opts)),
+        "chaos" => emit(&mut out, csv_dir, "chaos", &chaos::run(opts)),
         "service" => {
-            let t = service::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "service", &t);
-            let s = service::run_studies(opts);
-            writeln!(out, "{}", s.render()).unwrap();
-            write_csv(csv_dir, "service_studies", &s);
+            emit(&mut out, csv_dir, "service", &service::run(opts));
+            emit(&mut out, csv_dir, "service_studies", &service::run_studies(opts));
         }
-        "multiprog" => {
-            let t = multiprog::run_study(opts);
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "multiprog", &t);
-        }
-        "scale" => {
-            let (t, _rows) = scale::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "scale", &t);
-        }
+        "multiprog" => emit(&mut out, csv_dir, "multiprog", &multiprog::run_study(opts)),
+        "scale" => emit(&mut out, csv_dir, "scale", &scale::run(opts).0),
         "ablations" => {
             writeln!(out, "{}", ablation::algorithm_sweep(opts).render()).unwrap();
             writeln!(out, "{}", ablation::gline_latency_sweep(opts).render()).unwrap();
@@ -253,8 +215,7 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
                     out_dir: cli.fuzz_out.clone(),
                     synthetic_bug: cli.synthetic_bug,
                 });
-                writeln!(out, "{}", rep.table.render()).unwrap();
-                write_csv(csv_dir, "fuzz", &rep.table);
+                emit(&mut out, csv_dir, "fuzz", &rep.table);
                 for f in &rep.failures {
                     writeln!(
                         out,
@@ -288,6 +249,17 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
     out
 }
 
+/// The argument after the flag at `args[*i]`, which `*i` moves to.
+fn value(args: &[String], i: &mut usize, missing: &str) -> String {
+    *i += 1;
+    args.get(*i).unwrap_or_else(|| panic!("{missing}")).clone()
+}
+
+/// [`value`], parsed as a number.
+fn num<T: std::str::FromStr>(args: &[String], i: &mut usize, bad: &str) -> T {
+    value(args, i, bad).parse().unwrap_or_else(|_| panic!("{bad}"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cli = Cli {
@@ -317,115 +289,64 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => cli.opts.quick = true,
-            "--threads" => {
-                i += 1;
-                cli.opts.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--csv" => {
-                i += 1;
-                cli.csv_dir = Some(args.get(i).expect("--csv needs a directory").clone());
-            }
+            "--threads" => cli.opts.threads = num(&args, &mut i, "--threads needs a number"),
+            "--csv" => cli.csv_dir = Some(value(&args, &mut i, "--csv needs a directory")),
             "--stats-json" => {
-                i += 1;
-                cli.stats_dir =
-                    Some(args.get(i).expect("--stats-json needs a directory").clone());
+                cli.stats_dir = Some(value(&args, &mut i, "--stats-json needs a directory"));
             }
             "--chrome-trace" => {
-                i += 1;
-                cli.chrome_trace =
-                    Some(args.get(i).expect("--chrome-trace needs a file").clone());
+                cli.chrome_trace = Some(value(&args, &mut i, "--chrome-trace needs a file"));
             }
             "--jobs" => {
-                i += 1;
-                cli.jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .expect("--jobs needs a number >= 1");
+                cli.jobs = num(&args, &mut i, "--jobs needs a number >= 1");
+                assert!(cli.jobs >= 1, "--jobs needs a number >= 1");
             }
             "--watchdog-cycles" => {
-                i += 1;
-                cli.watchdog = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--watchdog-cycles needs a number of cycles"),
-                );
+                let what = "--watchdog-cycles needs a number of cycles";
+                cli.watchdog = Some(num(&args, &mut i, what));
             }
             "--mesh" => {
-                i += 1;
-                let v = args.get(i).expect("--mesh needs a WxH shape");
-                cli.mesh = Some(exp::parse_mesh(v).unwrap_or_else(|e| panic!("{e}")));
+                let v = value(&args, &mut i, "--mesh needs a WxH shape");
+                cli.mesh = Some(exp::parse_mesh(&v).unwrap_or_else(|e| panic!("{e}")));
             }
             "--dense" => cli.dense = true,
             "--journal" => {
-                i += 1;
-                cli.journal = Some(PathBuf::from(args.get(i).expect("--journal needs a file")));
+                cli.journal = Some(PathBuf::from(value(&args, &mut i, "--journal needs a file")));
             }
             "--resume" => cli.resume = true,
             "--timeout-secs" => {
-                i += 1;
-                cli.timeout_secs = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--timeout-secs needs a number of seconds"),
-                );
+                cli.timeout_secs =
+                    Some(num(&args, &mut i, "--timeout-secs needs a number of seconds"));
             }
-            "--retries" => {
-                i += 1;
-                cli.retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--retries needs a number");
-            }
+            "--retries" => cli.retries = num(&args, &mut i, "--retries needs a number"),
             "--backoff-ms" => {
-                i += 1;
-                cli.backoff_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--backoff-ms needs a number of milliseconds");
+                cli.backoff_ms = num(&args, &mut i, "--backoff-ms needs a number of milliseconds");
             }
             "--seed" => {
-                i += 1;
-                cli.fuzz_seed = args
-                    .get(i)
-                    .and_then(|s| {
-                        let s = s.trim();
-                        s.strip_prefix("0x")
-                            .or_else(|| s.strip_prefix("0X"))
-                            .map_or_else(|| s.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
-                    })
+                let v = value(&args, &mut i, "--seed needs a number (decimal or 0x hex)");
+                let v = v.trim();
+                cli.fuzz_seed = v
+                    .strip_prefix("0x")
+                    .or_else(|| v.strip_prefix("0X"))
+                    .map_or_else(|| v.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
                     .expect("--seed needs a number (decimal or 0x hex)");
             }
             "--plans" => {
-                i += 1;
-                cli.fuzz_plans = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .expect("--plans needs a number >= 1");
+                cli.fuzz_plans = num(&args, &mut i, "--plans needs a number >= 1");
+                assert!(cli.fuzz_plans >= 1, "--plans needs a number >= 1");
             }
             "--fuzz-out" => {
-                i += 1;
-                cli.fuzz_out =
-                    Some(args.get(i).expect("--fuzz-out needs a directory").clone());
+                cli.fuzz_out = Some(value(&args, &mut i, "--fuzz-out needs a directory"));
             }
-            "--replay" => {
-                i += 1;
-                cli.fuzz_replay = Some(args.get(i).expect("--replay needs a file").clone());
-            }
+            "--replay" => cli.fuzz_replay = Some(value(&args, &mut i, "--replay needs a file")),
             "--synthetic-bug" => cli.synthetic_bug = true,
             "--inject-panic" => {
-                i += 1;
-                cli.inject_panic =
-                    Some(args.get(i).expect("--inject-panic needs an experiment name").clone());
+                let what = "--inject-panic needs an experiment name";
+                cli.inject_panic = Some(value(&args, &mut i, what));
             }
             "--inject-wedge" => {
-                i += 1;
-                cli.inject_wedge =
-                    Some(args.get(i).expect("--inject-wedge needs an experiment name").clone());
+                let what = "--inject-wedge needs an experiment name";
+                cli.inject_wedge = Some(value(&args, &mut i, what));
             }
             "--help" | "-h" => {
                 println!(

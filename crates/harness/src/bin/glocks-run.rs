@@ -49,24 +49,6 @@ fn parse_bench(name: &str) -> Option<BenchKind> {
     BenchKind::ALL.into_iter().find(|k| k.name().eq_ignore_ascii_case(name))
 }
 
-fn parse_lock(name: &str) -> Option<LockAlgorithm> {
-    const ALL: [LockAlgorithm; 12] = [
-        LockAlgorithm::Simple,
-        LockAlgorithm::Tatas,
-        LockAlgorithm::TatasBackoff,
-        LockAlgorithm::Ticket,
-        LockAlgorithm::Anderson,
-        LockAlgorithm::Mcs,
-        LockAlgorithm::Ideal,
-        LockAlgorithm::Glock,
-        LockAlgorithm::MpLock,
-        LockAlgorithm::SyncBuf,
-        LockAlgorithm::DynamicGlock,
-        LockAlgorithm::Reactive,
-    ];
-    ALL.into_iter().find(|a| a.name().eq_ignore_ascii_case(name))
-}
-
 struct Cli {
     bench: BenchKind,
     lock: LockAlgorithm,
@@ -128,7 +110,7 @@ fn parse_cli() -> Cli {
             "--lock" => {
                 i += 1;
                 let v = need(&args, i, "--lock");
-                lock = Some(parse_lock(&v).unwrap_or_else(|| {
+                lock = Some(LockAlgorithm::parse(&v).unwrap_or_else(|| {
                     eprintln!("unknown lock algorithm: {v}");
                     usage()
                 }));

@@ -3,7 +3,7 @@
 //! own slot, in its own cache line.
 
 use crate::layout::slot;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{LockBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Addr, ThreadId};
@@ -93,8 +93,9 @@ impl Script for AndersonAcquire {
         }
     }
 
-    fn load_spin(&self, last: u64) -> Option<Addr> {
-        (matches!(self.state, AcqState::Spinning) && last < self.needed).then_some(self.spin_addr)
+    fn spin(&self, last: u64) -> Option<Spin> {
+        (matches!(self.state, AcqState::Spinning) && last < self.needed)
+            .then_some(Spin::Load(self.spin_addr))
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

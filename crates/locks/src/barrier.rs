@@ -13,7 +13,7 @@
 //! any realistic run length.
 
 use crate::layout::slot;
-use glocks_cpu::{BarrierBackend, Script, Step};
+use glocks_cpu::{BarrierBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Addr, ThreadId};
@@ -199,9 +199,11 @@ impl Script for TreeWait {
         }
     }
 
-    fn load_spin(&self, last: u64) -> Option<Addr> {
+    fn spin(&self, last: u64) -> Option<Spin> {
         match self.phase {
-            Phase::Spinning(node) if last < self.episode => Some(release_addr(self.base, node)),
+            Phase::Spinning(node) if last < self.episode => {
+                Some(Spin::Load(release_addr(self.base, node)))
+            }
             _ => None,
         }
     }

@@ -7,7 +7,7 @@
 
 use crate::tatas::TatasLock;
 use glocks::pool::{GlockPool, PoolDecision};
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{LockBackend, Script, Spin, Step};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Addr, ThreadId};
 use std::cell::Cell;
@@ -138,12 +138,12 @@ impl Script for DynAcquire {
     /// Spinning on a bound physical GLock's `lock_req` is inert while the
     /// REQ is raised and that network is alive — grant and death verdict
     /// both come from the network, whose `next_event` covers them.
-    fn idle_spin(&self) -> bool {
-        if let AcqPhase::GlockSpin(k) = self.phase {
-            self.pool.regs(k).req_pending(self.tid.index()) && !self.pool.is_dead(k)
-        } else {
-            false
-        }
+    fn spin(&self, _last: u64) -> Option<Spin> {
+        let AcqPhase::GlockSpin(k) = self.phase else {
+            return None;
+        };
+        (self.pool.regs(k).req_pending(self.tid.index()) && !self.pool.is_dead(k))
+            .then_some(Spin::Register)
     }
 }
 

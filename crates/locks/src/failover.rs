@@ -56,7 +56,7 @@
 use crate::tatas::TatasLock;
 use glocks::network::NetworkHealth;
 use glocks::GlockRegisters;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{LockBackend, Script, Spin, Step};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Addr, Cycle, ThreadId};
 use std::cell::Cell;
@@ -493,10 +493,11 @@ impl Script for FoAcquire {
     /// death verdict are produced by the GLock network, whose `next_event`
     /// covers them. `DrainWait` and the software fallback stay hot — their
     /// wake conditions involve other cores' software-path progress.
-    fn idle_spin(&self) -> bool {
-        matches!(self.phase, AcqPhase::Spin)
+    fn spin(&self, _last: u64) -> Option<Spin> {
+        (matches!(self.phase, AcqPhase::Spin)
             && self.regs.req_pending(self.core)
-            && !self.health.is_dead()
+            && !self.health.is_dead())
+        .then_some(Spin::Register)
     }
 }
 

@@ -4,7 +4,7 @@
 //! `GL_Lock`.
 
 use glocks::barrier::BarrierRegs;
-use glocks_cpu::{BarrierBackend, Script, Step};
+use glocks_cpu::{BarrierBackend, Script, Spin, Step};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::ThreadId;
 use std::rc::Rc;
@@ -62,8 +62,9 @@ impl Script for GBarrierWait {
     /// Spinning on `barrier_arrive` is inert until the barrier network
     /// (which watches the arrive registers and reports its own wakes)
     /// releases this core's episode.
-    fn idle_spin(&self) -> bool {
-        matches!(self.phase, Phase::Spin) && self.regs.waiting(self.core)
+    fn spin(&self, _last: u64) -> Option<Spin> {
+        (matches!(self.phase, Phase::Spin) && self.regs.waiting(self.core))
+            .then_some(Spin::Register)
     }
 }
 

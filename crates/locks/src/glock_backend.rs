@@ -11,7 +11,7 @@
 //! synchronization contributes **zero** traffic to the main data network.
 
 use glocks::GlockRegisters;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{LockBackend, Script, Spin, Step};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::ThreadId;
 use std::rc::Rc;
@@ -71,8 +71,9 @@ impl Script for GlockAcquire {
     /// The busy-wait loop is inert while `lock_req` is still raised; the
     /// local GLock controller (whose network reports its own wakes) is the
     /// only agent that resets it.
-    fn idle_spin(&self) -> bool {
-        matches!(self.phase, AcqPhase::Spin) && self.regs.req_pending(self.core)
+    fn spin(&self, _last: u64) -> Option<Spin> {
+        (matches!(self.phase, AcqPhase::Spin) && self.regs.req_pending(self.core))
+            .then_some(Spin::Register)
     }
 }
 

@@ -3,7 +3,7 @@
 //! busy-waiting on a unique, locally-cached flag.
 
 use crate::layout::slot;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{LockBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Addr, ThreadId};
@@ -97,8 +97,9 @@ impl Script for McsAcquire {
 
     // `Linked` is not a spin: its load is issued with `last = 0`, and
     // `Spinning` resumed with 0 finishes.
-    fn load_spin(&self, last: u64) -> Option<Addr> {
-        (matches!(self.state, AcqState::Spinning) && last != 0).then_some(self.my_locked)
+    fn spin(&self, last: u64) -> Option<Spin> {
+        let spinning = matches!(self.state, AcqState::Spinning) && last != 0;
+        spinning.then_some(Spin::Load(self.my_locked))
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
@@ -191,8 +192,8 @@ impl Script for McsRelease {
         }
     }
 
-    fn load_spin(&self, last: u64) -> Option<Addr> {
-        (matches!(self.state, RelState::WaitLink) && last == 0).then_some(self.my_next)
+    fn spin(&self, last: u64) -> Option<Spin> {
+        (matches!(self.state, RelState::WaitLink) && last == 0).then_some(Spin::Load(self.my_next))
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

@@ -2,7 +2,7 @@
 //! (Section II of the paper).
 
 use crate::layout::slot;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{LockBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Addr, ThreadId};
@@ -99,8 +99,8 @@ impl Script for TatasAcquire {
         }
     }
 
-    fn load_spin(&self, last: u64) -> Option<Addr> {
-        (matches!(self.state, AcqState::Tested) && last != 0).then_some(self.flag)
+    fn spin(&self, last: u64) -> Option<Spin> {
+        (matches!(self.state, AcqState::Tested) && last != 0).then_some(Spin::Load(self.flag))
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

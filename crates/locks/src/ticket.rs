@@ -2,7 +2,7 @@
 //! counter (Section II).
 
 use crate::layout::slot;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{LockBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Addr, ThreadId};
@@ -65,9 +65,9 @@ impl Script for TicketAcquire {
         }
     }
 
-    fn load_spin(&self, last: u64) -> Option<Addr> {
+    fn spin(&self, last: u64) -> Option<Spin> {
         let spinning = matches!(self.state, AcqState::Spinning) && last != self.mine.get();
-        spinning.then_some(self.serving)
+        spinning.then_some(Spin::Load(self.serving))
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

@@ -26,6 +26,10 @@
 //!    more than [`CheckerConfig::fairness_window`] cycles *while more
 //!    grants than a full round flowed past it*, fairness is broken. (A
 //!    global stall trips the watchdog instead, with its own diagnosis.)
+//!    The bound holds only while a G-line network arbitrates the lock: a
+//!    lock mapped to software, or whose network is not in fail-back mode
+//!    `Hardware`, is served by a software algorithm (test-and-set locks
+//!    promise no order), so its watch is reset.
 //! 4. **Directory/L1 MESI compatibility** —
 //!    [`glocks_mem::MemorySystem::find_invariant_violation`].
 //! 5. **Fail-back safety** — on a repaired-but-untrusted network, the
@@ -80,16 +84,24 @@ struct WaitWatch {
 pub struct ProtocolChecker {
     cfg: CheckerConfig,
     watches: Vec<Option<WaitWatch>>,
+    /// The G-line network index of each lock mapped to a hardware GLock.
+    nets_of: Vec<Option<usize>>,
     n_cores: u64,
     checks_run: u64,
 }
 
 impl ProtocolChecker {
-    pub fn new(cfg: CheckerConfig, n_locks: usize, n_cores: usize) -> Self {
+    /// `glock_ids[k]` is the lock G-line network `k` serves.
+    pub fn new(cfg: CheckerConfig, n_locks: usize, n_cores: usize, glock_ids: &[LockId]) -> Self {
         assert!(cfg.every >= 1, "checker cadence must be at least 1 cycle");
+        let mut nets_of = vec![None; n_locks];
+        for (k, l) in glock_ids.iter().enumerate() {
+            nets_of[l.index()] = Some(k);
+        }
         ProtocolChecker {
             cfg,
             watches: vec![None; n_locks],
+            nets_of,
             n_cores: n_cores as u64,
             checks_run: 0,
         }
@@ -155,7 +167,7 @@ impl ProtocolChecker {
                 }
             }
         }
-        if let Some(v) = self.check_bounded_waiting(now, tracker) {
+        if let Some(v) = self.check_bounded_waiting(now, tracker, ctls) {
             return Some(v);
         }
         if let Some(v) = mem.find_invariant_violation() {
@@ -164,10 +176,20 @@ impl ProtocolChecker {
         None
     }
 
-    fn check_bounded_waiting(&mut self, now: Cycle, tracker: &LockTracker) -> Option<String> {
+    fn check_bounded_waiting(
+        &mut self,
+        now: Cycle,
+        tracker: &LockTracker,
+        ctls: &[Option<Rc<FailbackCtl>>],
+    ) -> Option<String> {
         for (i, watch) in self.watches.iter_mut().enumerate() {
             let lock = LockId(i as u16);
-            let Some((tid, since)) = tracker.oldest_request(lock) else {
+            let arbitrated = self.nets_of[i].is_some_and(|k| {
+                ctls.get(k)
+                    .and_then(|c| c.as_ref())
+                    .is_none_or(|c| c.mode() == FailbackMode::Hardware)
+            });
+            let Some((tid, since)) = tracker.oldest_request(lock).filter(|_| arbitrated) else {
                 *watch = None;
                 continue;
             };
@@ -253,35 +275,13 @@ mod tests {
             CheckerConfig { every: 8, fairness_window: 100 },
             1,
             4,
+            &[LockId(0)],
         );
         assert!(ck.due(0) && ck.due(8) && !ck.due(9));
         let tracker = LockTracker::new(1, 4);
         let mem = MemorySystem::new(&glocks_sim_base::CmpConfig::paper_baseline());
         assert_eq!(ck.check(0, &tracker, &mem, &[], &[]), None);
         assert_eq!(ck.checks_run, 1);
-    }
-
-    #[test]
-    fn bounded_waiting_trips_on_starvation_with_progress() {
-        let mut ck = ProtocolChecker::new(
-            CheckerConfig { every: 1, fairness_window: 50 },
-            1,
-            2,
-        );
-        let mut tracker = LockTracker::new(1, 2);
-        let mem = MemorySystem::new(&glocks_sim_base::CmpConfig::paper_baseline());
-        // Thread 0 requests at cycle 0 and is never served...
-        tracker.on_acquire_start(LockId(0), ThreadId(0), 0);
-        assert_eq!(ck.check(1, &tracker, &mem, &[], &[]), None, "first sight arms the watch");
-        // ...while thread 1 grabs the lock over and over (3 > n_cores).
-        for _ in 0..3 {
-            tracker.on_acquire_start(LockId(0), ThreadId(1), 2);
-            tracker.on_acquired(LockId(0), ThreadId(1), 3);
-            tracker.on_release_start(LockId(0), ThreadId(1), 4);
-        }
-        assert_eq!(ck.check(10, &tracker, &mem, &[], &[]), None, "within the window");
-        let v = ck.check(100, &tracker, &mem, &[], &[]).expect("starvation must trip");
-        assert!(v.contains("bounded waiting"), "{v}");
     }
 
     /// The fail-back invariants: a non-probe grant on an untrusted
@@ -316,7 +316,7 @@ mod tests {
 
         let tracker = LockTracker::new(1, 4);
         let mem = MemorySystem::new(&glocks_sim_base::CmpConfig::paper_baseline());
-        let mut ck = ProtocolChecker::new(CheckerConfig::default(), 1, 4);
+        let mut ck = ProtocolChecker::new(CheckerConfig::default(), 1, 4, &[LockId(0)]);
 
         // A rogue (non-probe) request sneaks onto the untrusted hardware
         // and is granted: invariant 5 must trip.
@@ -397,12 +397,73 @@ mod tests {
         assert!(v.contains("double-path"), "{v}");
     }
 
+    /// Round-robin arbitration bounds a wait by one lap, so a waiter
+    /// passed by more grants than cores for longer than the window trips.
+    /// Test-and-set locks promise no order, so the bound binds a lock only
+    /// while its G-line network arbitrates it. A lock mapped to software,
+    /// or whose network is out of fail-back mode `Hardware`, may starve a
+    /// waiter past the window; back in `Hardware`, the watch re-arms.
+    #[test]
+    fn bounded_waiting_binds_only_hardware_arbitrated_locks() {
+        use glocks::Topology;
+        use glocks_sim_base::Mesh2D;
+
+        let cfg = CheckerConfig { every: 1, fairness_window: 50 };
+        let mem = MemorySystem::new(&glocks_sim_base::CmpConfig::paper_baseline());
+        let mut tracker = LockTracker::new(1, 2);
+        tracker.on_acquire_start(LockId(0), ThreadId(0), 0);
+        let grant_three = |tracker: &mut LockTracker, at: Cycle| {
+            for _ in 0..3 {
+                tracker.on_acquire_start(LockId(0), ThreadId(1), at);
+                tracker.on_acquired(LockId(0), ThreadId(1), at);
+                tracker.on_release_start(LockId(0), ThreadId(1), at);
+            }
+        };
+        let mut ck = ProtocolChecker::new(cfg, 1, 2, &[LockId(0)]);
+        assert_eq!(ck.check(1, &tracker, &mem, &[], &[]), None, "first sight arms the watch");
+        grant_three(&mut tracker, 2);
+        assert_eq!(ck.check(10, &tracker, &mem, &[], &[]), None, "within the window");
+        let v = ck.check(100, &tracker, &mem, &[], &[]).expect("starvation must trip");
+        assert!(v.contains("bounded waiting"), "{v}");
+
+        let mut software = ProtocolChecker::new(cfg, 1, 2, &[]);
+        assert_eq!(software.check(1, &tracker, &mem, &[], &[]), None);
+        assert_eq!(software.check(100, &tracker, &mem, &[], &[]), None, "software-mapped");
+
+        let net = GlockNetwork::new(&Topology::flat(Mesh2D::new(2, 1)), 1);
+        let ctls = [Some(Rc::new(FailbackCtl::new(net.regs(), net.health())))];
+        let set_mode = |tag: u8| {
+            let mut w = SnapWriter::new();
+            w.u8(tag);
+            w.u32(0);
+            w.u64(0);
+            w.u8(0);
+            w.usize(0);
+            w.u64(0);
+            w.bool(true);
+            w.u64(0);
+            w.u64(0);
+            w.u64(0);
+            ctls[0].as_ref().unwrap().load_state(&mut SnapReader::new(&w.into_bytes())).unwrap();
+        };
+        let mut ck = ProtocolChecker::new(cfg, 1, 2, &[LockId(0)]);
+        set_mode(1); // SoftwareWait
+        assert_eq!(ck.check(1, &tracker, &mem, &[], &ctls), None);
+        assert_eq!(ck.check(100, &tracker, &mem, &[], &ctls), None, "software-served");
+        set_mode(0); // Hardware
+        assert_eq!(ck.check(101, &tracker, &mem, &[], &ctls), None, "first sight arms the watch");
+        grant_three(&mut tracker, 102);
+        let v = ck.check(200, &tracker, &mem, &[], &ctls).expect("hardware starvation must trip");
+        assert!(v.contains("bounded waiting"), "{v}");
+    }
+
     #[test]
     fn served_requests_reset_the_watch() {
         let mut ck = ProtocolChecker::new(
             CheckerConfig { every: 1, fairness_window: 10 },
             1,
             2,
+            &[LockId(0)],
         );
         let mut tracker = LockTracker::new(1, 2);
         let mem = MemorySystem::new(&glocks_sim_base::CmpConfig::paper_baseline());

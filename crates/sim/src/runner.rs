@@ -97,9 +97,6 @@ const BARRIER_REGION: u64 = 0x00F0_0000;
 /// Knobs beyond the architectural configuration.
 #[derive(Clone, Debug)]
 pub struct SimulationOptions {
-    /// Run the MESI invariant checker every `n` cycles (0 = never).
-    /// Expensive; intended for tests.
-    pub check_invariants_every: u64,
     /// Abort if the run exceeds this many cycles.
     pub max_cycles: u64,
     /// Energy model to account with.
@@ -149,7 +146,6 @@ pub struct SimulationOptions {
 impl Default for SimulationOptions {
     fn default() -> Self {
         SimulationOptions {
-            check_invariants_every: 0,
             max_cycles: 2_000_000_000,
             energy_model: EnergyModel::paper_baseline(),
             force_hierarchical_glocks: false,
@@ -185,7 +181,6 @@ fn config_fingerprint(cfg: &CmpConfig, mapping: &LockMapping, options: &Simulati
     for i in 0..mapping.n_locks() {
         fp.mix_str(mapping.algo(LockId(i as u16)).name());
     }
-    fp.mix_u64(options.check_invariants_every);
     fp.mix_u64(options.max_cycles);
     fp.mix_str(&format!("{:?}", options.energy_model));
     fp.mix_u64(u64::from(options.force_hierarchical_glocks));
@@ -459,7 +454,7 @@ impl Simulation {
         }
         let checker = options
             .checker
-            .map(|c| ProtocolChecker::new(c, n_locks, cfg.num_cores));
+            .map(|c| ProtocolChecker::new(c, n_locks, cfg.num_cores, &glock_ids));
         let fingerprint = config_fingerprint(cfg, mapping, &options);
         let mut sim = Simulation {
             cfg: *cfg,
@@ -695,14 +690,6 @@ impl Simulation {
         self.dense_cycles += 1;
         self.wake_cores();
         self.tracker.sample();
-        if self.options.check_invariants_every > 0
-            && self.now.is_multiple_of(self.options.check_invariants_every)
-        {
-            self.mem.check_invariants();
-            for net in &self.glock_nets {
-                net.assert_token_invariants();
-            }
-        }
         let violation = match self.checker.as_mut() {
             Some(ck) if ck.due(self.now) => {
                 ck.check(self.now, &self.tracker, &self.mem, &self.glock_nets, &self.failback_ctls)
@@ -819,9 +806,6 @@ impl Simulation {
         // besides ticking components. Each must be *executed*, so the jump
         // lands on (not past) the nearest one.
         let mut target = wake.unwrap_or(Cycle::MAX);
-        if self.options.check_invariants_every > 0 {
-            target = target.min(now.next_multiple_of(self.options.check_invariants_every));
-        }
         if let Some(ck) = &self.options.checker {
             target = target.min(now.next_multiple_of(ck.every));
         }
@@ -1050,31 +1034,12 @@ impl Simulation {
         self.flush_parked(self.now);
         let finish_at = self.now;
         // Drain in-flight writebacks so the traffic/energy totals settle.
-        // The G-line networks only tick while they report pending work, so
-        // the per-iteration cost is O(active components) — a long memory
-        // drain does not keep re-walking idle lock/barrier automata.
         const DRAIN_CAP: u64 = 1_000_000;
         let mut drain = 0;
         while !self.mem.is_quiescent() && drain < DRAIN_CAP {
             self.now += 1;
             drain += 1;
-            self.mem.tick(self.now);
-            for net in &mut self.glock_nets {
-                if net.next_event(self.now).is_some_and(|t| t <= self.now) {
-                    net.tick(self.now);
-                }
-            }
-            // Controller ticks are O(1) Cell reads when nothing is
-            // happening, so the drain ticks them unconditionally — a
-            // repair installing mid-drain must still be observed.
-            for ctl in self.failback_ctls.iter().flatten() {
-                ctl.tick(self.now);
-            }
-            if let Some(b) = self.gbarrier.as_mut() {
-                if b.next_event(self.now).is_some() {
-                    b.tick(self.now);
-                }
-            }
+            self.tick_devices();
         }
         if !self.mem.is_quiescent() {
             let snapshot = self.snapshot(self.now);
@@ -1294,7 +1259,10 @@ mod tests {
     fn run_with(algo: LockAlgorithm, cores: usize, iters: u64) -> (SimReport, MemorySystem) {
         let cfg = CmpConfig::paper_baseline().with_cores(cores);
         let mapping = LockMapping::uniform(algo, 1);
-        let opts = SimulationOptions { check_invariants_every: 5000, ..Default::default() };
+        let opts = SimulationOptions {
+            checker: Some(CheckerConfig { every: 5000, ..Default::default() }),
+            ..Default::default()
+        };
         let sim = Simulation::new(&cfg, &mapping, mini_workloads(&cfg, iters), &[], opts);
         sim.run().expect("fault-free run must complete")
     }

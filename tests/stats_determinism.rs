@@ -255,14 +255,17 @@ fn event_driven_and_dense_loops_agree_under_coherence_faults() {
 /// has no retransmission layer. With nothing left in flight the memory
 /// system reports no horizon, so the event-driven loop jumps straight to
 /// the watchdog's deadline; the error and its diagnostic snapshot must be
-/// the dense loop's, whatever the death cycle.
+/// the dense loop's, whatever the death cycle. Under GLock a core that
+/// will die parks in its register spin with the halt pending, and its
+/// owed poll charges stop at the halt: a checkpoint taken after the error
+/// (every core's breakdown included) must match the dense loop's too.
 #[test]
 fn event_driven_and_dense_loops_agree_on_router_and_tile_deaths() {
     use glocks_repro::sim_base::fault::{HardFault, HardFaultTarget};
     let bench = BenchConfig::smoke(BenchKind::Sctr, 16);
-    let mapping = LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Mcs, bench.n_locks());
     let cfg = CmpConfig::paper_baseline().with_cores(bench.threads);
-    let run = |fault: HardFault, idle_skip: bool| {
+    let run = |algo: LockAlgorithm, fault: HardFault, idle_skip: bool| {
+        let mapping = LockMapping::hybrid(&bench.hc_locks(), algo, bench.n_locks());
         let mut plan = FaultPlan::seeded(0xFA05);
         plan.hard.push(fault);
         let options = SimulationOptions {
@@ -272,22 +275,31 @@ fn event_driven_and_dense_loops_agree_on_router_and_tile_deaths() {
             ..Default::default()
         };
         let inst = bench.build();
-        let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, options);
-        match sim.run() {
-            Ok((report, _)) => panic!("{fault:?} did not wedge ({} cycles)", report.cycles),
-            Err(e) => format!("{e:?}"),
+        let mut sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, options);
+        loop {
+            match sim.step_fast(0) {
+                Ok(false) => {}
+                Ok(true) => panic!("{algo:?} {fault:?} did not wedge ({} cycles)", sim.now()),
+                Err(e) => {
+                    let image = sim.checkpoint().expect("checkpoint after the error");
+                    return (format!("{e:?}"), image.into_bytes());
+                }
+            }
         }
     };
-    for (at, target) in [
-        (1_500, HardFaultTarget::NocRouter { tile: 5 }),
-        (6_000, HardFaultTarget::NocRouter { tile: 10 }),
-        (1_000, HardFaultTarget::Tile { core: 3 }),
-        (7_000, HardFaultTarget::Tile { core: 12 }),
-    ] {
-        let fault = HardFault::permanent(at, target);
-        let skip = run(fault, true);
-        let dense = run(fault, false);
-        assert_eq!(skip, dense, "{fault:?}: the loops surfaced different errors");
+    for algo in [LockAlgorithm::Mcs, LockAlgorithm::Glock] {
+        for (at, target) in [
+            (1_500, HardFaultTarget::NocRouter { tile: 5 }),
+            (6_000, HardFaultTarget::NocRouter { tile: 10 }),
+            (1_000, HardFaultTarget::Tile { core: 3 }),
+            (7_000, HardFaultTarget::Tile { core: 12 }),
+        ] {
+            let fault = HardFault::permanent(at, target);
+            let (skip, skip_image) = run(algo, fault, true);
+            let (dense, dense_image) = run(algo, fault, false);
+            assert_eq!(skip, dense, "{algo:?} {fault:?}: the loops surfaced different errors");
+            assert!(skip_image == dense_image, "{algo:?} {fault:?}: the machine images differ");
+        }
     }
 }
 
